@@ -74,7 +74,7 @@ ExperimentConfig PaperConfig(const BenchOptions& options,
     // shorter than the paper's million queries, and a regret fraction
     // calibrated so Eq. 3 trips within the default 40k-query cells (the
     // A1 ablation sweeps this knob); everything else is the library
-    // default documented in DESIGN.md.
+    // default (EconomyOptions in src/econ/economy.h).
     econ.economy.initial_credit = Money::FromDollars(200);
     econ.economy.regret_fraction_a = 0.02;
     // The paper's evaluation does not model structure build latency (a

@@ -43,9 +43,10 @@ PaperSetup MakePaperSetup(const BenchOptions& options);
 
 /// Baseline experiment configuration matching Section VII-A: conservative
 /// provider, step budgets, 65 advisor indexes, EC2 metering. The economy's
-/// free parameters that the paper does not pin (seed credit, regret
-/// fraction, amortization horizon) carry the calibration documented in
-/// DESIGN.md item 6.
+/// free parameters that the paper does not pin carry a bench calibration:
+/// $200 seed credit and regret fraction a = 0.02, so Eq. 3 trips within
+/// the default cells; the amortization horizon keeps the EconomyOptions
+/// default (src/econ/economy.h).
 ExperimentConfig PaperConfig(const BenchOptions& options,
                              double interarrival_seconds);
 

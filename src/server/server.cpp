@@ -9,6 +9,7 @@
 
 #include "src/obs/registry.h"
 #include "src/persist/snapshot.h"
+#include "src/sim/merge.h"
 #include "src/structure/index_advisor.h"
 #include "src/util/logging.h"
 
@@ -39,8 +40,7 @@ CloudCachedServer::CloudCachedServer(
       config_(config),
       options_(std::move(options)) {
   config_hash_ = HashExperimentConfig(*config_);
-  multi_tenant_ =
-      config_->tenancy.tenants > 1 || config_->tenancy.force_event_path;
+  multi_tenant_ = ExperimentDriverShape(*config_).multi_tenant;
   stream_count_ = config_->tenancy.tenants;
 }
 
@@ -65,21 +65,15 @@ Status CloudCachedServer::BuildEconomy() {
   // all come from the one shared config, so the economy the connections
   // drive is the economy the simulator pins.
   scheme_ = MakeExperimentScheme(*catalog_, indexes_, *config_);
-  twins_.clear();
-  twins_.reserve(stream_count_);
-  for (uint32_t t = 0; t < stream_count_; ++t) {
-    twins_.push_back(std::make_unique<WorkloadGenerator>(
-        catalog_, resolved_,
-        TenantWorkloadOptions(config_->workload, config_->tenancy, t)));
-  }
+  twins_ = MakeExperimentStreams(*catalog_, resolved_, *config_);
   SimulatorOptions sim_options = config_->sim;
   sim_options.node_rent_multiplier = config_->cluster.node_rent_multiplier;
   sim_options.checkpoint.config_hash = config_hash_;
   sim_options.checkpoint.path = options_.snapshot_path;
-  // Cadence is the server's own (after-serve under mu_), and restore is
-  // handled in Start(): the simulator never runs its internal drivers
-  // here.
-  sim_options.checkpoint.every = 0;
+  // The server applies the cadence itself (after each serve, under mu_),
+  // and restore is handled in Start(): the simulator never runs its
+  // internal driver here, and a server never crash-injects.
+  sim_options.checkpoint.every = options_.checkpoint_every;
   sim_options.checkpoint.crash_after = 0;
   if (multi_tenant_) {
     std::vector<WorkloadGenerator*> generators;
@@ -159,16 +153,34 @@ Status CloudCachedServer::Start() {
   return Status::OK();
 }
 
-void CloudCachedServer::RequestShutdown() {
+void CloudCachedServer::BeginDrain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
-    for (const std::shared_ptr<Socket>& conn : live_connections_) {
-      conn->ShutdownBoth();
-    }
   }
   stop_.store(true);
   merge_cv_.notify_all();
+}
+
+void CloudCachedServer::RequestShutdown() {
+  BeginDrain();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::shared_ptr<Socket>& conn : live_connections_) {
+    conn->ShutdownBoth();
+  }
+}
+
+void CloudCachedServer::AckShutdown(const Socket& conn) {
+  // The drain is flagged before the ack goes out, so a client that has
+  // read the ack always observes ShutdownRequested(). Only then are the
+  // live sockets kicked — `conn` is one of them, and kicking it first
+  // would lose the ack.
+  BeginDrain();
+  persist::Encoder enc;
+  EncodeShutdownAck(&enc);
+  const Status ignored = WriteFrame(conn, enc);
+  (void)ignored;
+  RequestShutdown();
 }
 
 Status CloudCachedServer::Wait() {
@@ -348,18 +360,11 @@ bool CloudCachedServer::MergeTurnLocked(uint32_t stream) const {
   for (const StreamState& state : streams_) {
     if (!state.claimed) return false;
   }
-  // Merge head: earliest peeked arrival over the streams still in the
-  // merge; ties go to the lowest stream id, exactly the EventQueue rule.
-  uint32_t head = kControlStream;
-  SimTime head_time = 0;
-  for (uint32_t u = 0; u < stream_count_; ++u) {
-    if (!streams_[u].connected) continue;
-    const SimTime peek = twins_[u]->PeekNextArrival();
-    if (head == kControlStream || peek < head_time) {
-      head = u;
-      head_time = peek;
-    }
-  }
+  // The simulator's merge rule over the streams still in the merge.
+  const size_t head = MergeHead(
+      stream_count_,
+      [this](size_t u) { return twins_[u]->PeekNextArrival(); },
+      [this](size_t u) { return streams_[u].connected; });
   return head == stream;
 }
 
@@ -395,11 +400,7 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
         SendError(conn, ErrorCode::kBadFrame, "malformed Shutdown");
         return;
       }
-      persist::Encoder enc;
-      EncodeShutdownAck(&enc);
-      const Status ignored = WriteFrame(conn, enc);
-      (void)ignored;
-      RequestShutdown();
+      AckShutdown(conn);
       return;
     }
     if (type != MessageType::kQuery) {
@@ -471,11 +472,11 @@ void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
           outcome.budget_case = static_cast<uint8_t>(served.budget_case);
           outcome.investments = served.investments;
           outcome.evictions = served.evictions;
-          if (options_.checkpoint_every > 0 &&
-              processed % options_.checkpoint_every == 0 &&
-              processed < sim_->options().num_queries &&
-              checkpoint_status_.ok() && !tainted_) {
-            checkpoint_status_ = sim_->ExternalCheckpoint();
+          if (checkpoint_status_.ok() && !tainted_) {
+            checkpoint_status_ = CheckpointStep(
+                sim_->options().checkpoint, sim_->options().num_queries,
+                processed - 1, processed,
+                [this] { return sim_->ExternalCheckpoint(); });
             if (!checkpoint_status_.ok()) {
               std::fprintf(stderr, "cloudcached: checkpoint failed: %s\n",
                            checkpoint_status_.ToString().c_str());
@@ -536,11 +537,7 @@ void CloudCachedServer::ControlLoop(const Socket& conn) {
       return;
     }
     if (type == MessageType::kShutdown && DecodeShutdown(&dec).ok()) {
-      persist::Encoder enc;
-      EncodeShutdownAck(&enc);
-      const Status ignored = WriteFrame(conn, enc);
-      (void)ignored;
-      RequestShutdown();
+      AckShutdown(conn);
       return;
     }
     SendError(conn, ErrorCode::kNotAllowed,

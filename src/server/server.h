@@ -127,6 +127,12 @@ class CloudCachedServer {
     bool retired = false;    // Left the merge for good (close/divergence).
   };
 
+  /// Flags the drain (draining_, stop_) and wakes every waiter, without
+  /// touching any socket.
+  void BeginDrain();
+  /// Answers a Shutdown on `conn`: flags the drain, writes the ack, then
+  /// kicks every live connection (RequestShutdown).
+  void AckShutdown(const Socket& conn);
   /// Builds (or rebuilds, for kAuto restore fallback) the scheme, the
   /// twin generators, and the external-drive simulator.
   Status BuildEconomy();
@@ -142,9 +148,8 @@ class CloudCachedServer {
   void SubscriptionLoop(const Socket& conn, uint64_t every);
   /// Accept loop + one-shot HTTP responder for the metrics endpoint.
   void MetricsLoop();
-  /// True when stream t holds the merge head (earliest peeked arrival,
-  /// ties to the lowest stream id) — or when the run is complete or
-  /// draining, so the caller can observe that and reply. Requires mu_.
+  /// True when stream t holds the merge head: MergeHead over the
+  /// connected streams, once every stream has claimed. Requires mu_.
   bool MergeTurnLocked(uint32_t stream) const;
   StatsAckMsg StatsLocked() const;
   void RegisterConnection(const std::shared_ptr<Socket>& conn);

@@ -36,6 +36,33 @@ WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
   return options;
 }
 
+DriverShape ExperimentDriverShape(const ExperimentConfig& config) {
+  DriverShape shape;
+  shape.multi_tenant =
+      config.tenancy.tenants > 1 || config.tenancy.force_event_path;
+  shape.clustered = config.cluster.nodes > 1 || config.cluster.elastic ||
+                    config.cluster.force_cluster_path;
+  shape.windowed = shape.clustered && !shape.multi_tenant &&
+                   config.sim.parallel_threads > 0;
+  return shape;
+}
+
+std::vector<std::unique_ptr<WorkloadGenerator>> MakeExperimentStreams(
+    const Catalog& catalog, const std::vector<ResolvedTemplate>& resolved,
+    const ExperimentConfig& config) {
+  const bool multi_tenant = ExperimentDriverShape(config).multi_tenant;
+  const uint32_t count = multi_tenant ? config.tenancy.tenants : 1;
+  std::vector<std::unique_ptr<WorkloadGenerator>> streams;
+  for (uint32_t t = 0; t < count; ++t) {
+    streams.push_back(std::make_unique<WorkloadGenerator>(
+        &catalog, resolved,
+        multi_tenant
+            ? TenantWorkloadOptions(config.workload, config.tenancy, t)
+            : config.workload));
+  }
+  return streams;
+}
+
 namespace {
 
 /// One construction + drive of the experiment's object graph. When
@@ -53,12 +80,6 @@ Result<SimMetrics> RunExperimentImpl(
   const std::vector<StructureKey> indexes =
       RecommendIndexes(catalog, *resolved, config.index_candidates);
 
-  const bool multi_tenant =
-      config.tenancy.tenants > 1 || config.tenancy.force_event_path;
-  const bool clustered = config.cluster.nodes > 1 ||
-                         config.cluster.elastic ||
-                         config.cluster.force_cluster_path;
-
   std::unique_ptr<Scheme> scheme =
       MakeExperimentScheme(catalog, indexes, config);
   if (config.tracer != nullptr) {
@@ -68,46 +89,31 @@ Result<SimMetrics> RunExperimentImpl(
   sim_options.node_rent_multiplier = config.cluster.node_rent_multiplier;
   sim_options.checkpoint.config_hash = HashExperimentConfig(config);
 
-  if (!multi_tenant) {
-    WorkloadGenerator workload(&catalog, *resolved, config.workload);
-    // The windowed parallel driver applies to clustered single-stream
-    // runs when threads are requested; everything else stays on the
-    // classic serial driver (the multi-tenant merge is a serial
-    // discipline by construction).
-    if (clustered && sim_options.parallel_threads > 0) {
-      auto* cluster = static_cast<ClusterScheme*>(scheme.get());
-      ParallelNodeSimulator simulator(&catalog, cluster, &workload,
-                                      sim_options);
-      if (snapshot != nullptr) {
-        CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
-      }
-      return simulator.RunChecked();
-    }
-    Simulator simulator(&catalog, scheme.get(), &workload, sim_options);
+  const std::vector<std::unique_ptr<WorkloadGenerator>> streams =
+      MakeExperimentStreams(catalog, *resolved, config);
+  const auto drive = [snapshot](auto& driver) -> Result<SimMetrics> {
     if (snapshot != nullptr) {
-      CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
+      CLOUDCACHE_RETURN_IF_ERROR(driver.RestoreFrom(*snapshot));
     }
-    return simulator.RunChecked();
+    return driver.RunChecked();
+  };
+  const DriverShape shape = ExperimentDriverShape(config);
+  if (shape.windowed) {
+    ParallelNodeSimulator simulator(
+        &catalog, static_cast<ClusterScheme*>(scheme.get()),
+        streams[0].get(), sim_options);
+    return drive(simulator);
   }
-
-  // Multi-tenant: one generator per stream, merged by the event-driven
-  // simulator through the shared scheme.
-  std::vector<std::unique_ptr<WorkloadGenerator>> generators;
-  std::vector<WorkloadGenerator*> generator_ptrs;
-  generators.reserve(config.tenancy.tenants);
-  generator_ptrs.reserve(config.tenancy.tenants);
-  for (uint32_t t = 0; t < config.tenancy.tenants; ++t) {
-    generators.push_back(std::make_unique<WorkloadGenerator>(
-        &catalog, *resolved,
-        TenantWorkloadOptions(config.workload, config.tenancy, t)));
-    generator_ptrs.push_back(generators.back().get());
+  if (!shape.multi_tenant) {
+    Simulator simulator(&catalog, scheme.get(), streams[0].get(),
+                        sim_options);
+    return drive(simulator);
   }
-  Simulator simulator(&catalog, scheme.get(), std::move(generator_ptrs),
+  std::vector<WorkloadGenerator*> stream_ptrs;
+  for (const auto& stream : streams) stream_ptrs.push_back(stream.get());
+  Simulator simulator(&catalog, scheme.get(), std::move(stream_ptrs),
                       sim_options);
-  if (snapshot != nullptr) {
-    CLOUDCACHE_RETURN_IF_ERROR(simulator.RestoreFrom(*snapshot));
-  }
-  return simulator.RunChecked();
+  return drive(simulator);
 }
 
 /// FNV-1a over the canonical little-endian serialization of the config.
@@ -144,11 +150,8 @@ void EncodePriceList(const PriceList& p, persist::Encoder* enc) {
 std::unique_ptr<Scheme> MakeExperimentScheme(
     const Catalog& catalog, const std::vector<StructureKey>& indexes,
     const ExperimentConfig& config) {
-  const bool multi_tenant =
-      config.tenancy.tenants > 1 || config.tenancy.force_event_path;
-  const bool clustered = config.cluster.nodes > 1 ||
-                         config.cluster.elastic ||
-                         config.cluster.force_cluster_path;
+  const DriverShape shape = ExperimentDriverShape(config);
+  const bool multi_tenant = shape.multi_tenant;
 
   // Builds the scheme for one cache node. Ordinal 0 carries the
   // experiment's own seed — on the single-node path it IS the classic
@@ -215,7 +218,7 @@ std::unique_ptr<Scheme> MakeExperimentScheme(
     return scheme;
   };
 
-  if (clustered) {
+  if (shape.clustered) {
     return std::make_unique<ClusterScheme>(
         catalog_ptr, &config.decision_prices, config.cluster, node_factory);
   }

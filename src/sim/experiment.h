@@ -84,6 +84,23 @@ struct ExperimentConfig {
   uint64_t seed = 7;
 };
 
+/// Which drivers and scheme graph an experiment runs on. Computed once
+/// here, so the simulator wiring, the scheme builder and cloudcached
+/// always agree.
+struct DriverShape {
+  /// Tenant streams merged by the multi-tenant Simulator, which keeps
+  /// per-tenant slices (tenants > 1, or force_event_path).
+  bool multi_tenant = false;
+  /// A ClusterScheme over per-node economies (nodes > 1, elastic, or
+  /// force_cluster_path).
+  bool clustered = false;
+  /// The windowed ParallelNodeSimulator: clustered single-stream runs
+  /// with worker threads. The multi-tenant merge is a serial discipline
+  /// by construction, so it never runs windowed.
+  bool windowed = false;
+};
+DriverShape ExperimentDriverShape(const ExperimentConfig& config);
+
 /// Derives tenant `t`'s workload options from the base stream and the
 /// tenancy shape: tenant 0 keeps the base seed (the classic stream),
 /// tenant t >= 1 draws seed MixSeed(base.seed, t); every tenant's
@@ -95,6 +112,14 @@ struct ExperimentConfig {
 WorkloadOptions TenantWorkloadOptions(const WorkloadOptions& base,
                                       const TenancyOptions& tenancy,
                                       uint32_t tenant);
+
+/// The workload generators RunExperiment drives, one per stream: tenant
+/// t's TenantWorkloadOptions on the multi-tenant shape, otherwise the one
+/// base stream. cloudcached's twins and loadgen's generators are built
+/// here too, so all three draw the identical streams.
+std::vector<std::unique_ptr<WorkloadGenerator>> MakeExperimentStreams(
+    const Catalog& catalog, const std::vector<ResolvedTemplate>& resolved,
+    const ExperimentConfig& config);
 
 /// Builds the exact scheme graph RunExperiment drives: the per-node
 /// economies (ordinal 0 carries config.seed — the classic scheme — while

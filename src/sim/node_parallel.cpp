@@ -1,12 +1,10 @@
 #include "src/sim/node_parallel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <string>
 #include <utility>
 
-#include "src/persist/metrics_io.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
@@ -24,105 +22,38 @@ ParallelNodeSimulator::ParallelNodeSimulator(const Catalog* catalog,
   CLOUDCACHE_CHECK(workload_ != nullptr);
 }
 
-ParallelNodeSimulator::RentSlice ParallelNodeSimulator::AccrueNodeRent(
-    size_t index, SimTime now) {
-  RentSlice slice;
-  NodeBooks& books = books_[index];
-  const double dt = now - books.metered_until;
-  if (dt <= 0) return slice;
-  books.metered_until = now;
-
-  const PriceList& p = options_.metered_prices;
-  Scheme& node = cluster_->mutable_node(index);
-  slice.disk_dollars = static_cast<double>(node.TotalResidentBytes()) * dt *
-                       p.disk_byte_second_dollars;
-  slice.reservation_dollars =
-      static_cast<double>(node.TotalExtraCpuNodes()) * dt *
-      p.cpu_second_dollars * p.cpu_reserve_fraction;
-  // Every node beyond the coordinator is a rented cluster node; it pays
-  // its own surcharge over its own metered gaps (the classic driver bills
-  // the fleet-wide surcharge to whichever node served last).
-  if (index > 0) {
-    slice.surcharge_dollars = dt * p.cpu_second_dollars *
-                              p.cpu_reserve_fraction *
-                              options_.node_rent_multiplier;
-    slice.reservation_dollars += slice.surcharge_dollars;
-  }
-
-  books.pending_rent_dollars +=
-      slice.disk_dollars + slice.reservation_dollars;
-  const Money charge = Money::FromDollars(books.pending_rent_dollars);
-  if (!charge.IsZero()) {
-    books.pending_rent_dollars -= charge.ToDollars();
-    node.ChargeExpenditure(charge, now);
-  }
-  return slice;
+RentAccrual ParallelNodeSimulator::AccrueNodeRent(size_t index,
+                                                  SimTime now) {
+  return books_[index].rent.Accrue(&cluster_->mutable_node(index),
+                                   index > 0 ? 1 : 0, now, options_);
 }
 
 void ParallelNodeSimulator::ServeSlice(size_t index,
                                        QueryRecord* const* records,
                                        size_t count) {
   Scheme& node = cluster_->mutable_node(index);
-  CostModel& metered = *metered_models_[index];
-  const PriceList& p = options_.metered_prices;
-
+  CostModel* metered = metered_models_[index].get();
   for (size_t k = 0; k < count; ++k) {
     QueryRecord& rec = *records[k];
     const SimTime now = rec.query.arrival_time;
-
-    const RentSlice rent = AccrueNodeRent(index, now);
-    rec.rent_disk_dollars = rent.disk_dollars;
-    rec.rent_reservation_dollars = rent.reservation_dollars;
-    rec.rent_node_dollars = rent.surcharge_dollars;
-
+    rec.rent = AccrueNodeRent(index, now);
     rec.served = cluster_->ServeOnNode(index, rec.query, now);
-
-    // Metered execution + build bill: the Simulator::MeterQuery
-    // arithmetic, with the charge going straight to the serving node
-    // (bypassing the cluster's serial last-served billing hook).
-    Money charged;
-    if (rec.served.served) {
-      const ExecutionEstimate m =
-          metered.EstimateExecution(rec.query, rec.served.spec);
-      rec.bill.cpu_dollars += p.CpuCost(m.cpu_seconds).ToDollars();
-      rec.bill.io_dollars += p.IoCost(m.io_ops).ToDollars();
-      rec.bill.network_dollars += p.NetworkCost(m.wan_bytes).ToDollars();
-      charged += p.CpuCost(m.cpu_seconds) + p.IoCost(m.io_ops) +
-                 p.NetworkCost(m.wan_bytes);
-      rec.wan_bytes += m.wan_bytes;
-    }
-    const BuildUsage& usage = rec.served.build_usage;
-    if (usage.cpu_seconds > 0 || usage.wan_bytes > 0 || usage.io_ops > 0) {
-      rec.bill.cpu_dollars += p.CpuCost(usage.cpu_seconds).ToDollars();
-      rec.bill.network_dollars += p.NetworkCost(usage.wan_bytes).ToDollars();
-      rec.bill.io_dollars += p.IoCost(usage.io_ops).ToDollars();
-      rec.wan_bytes += usage.wan_bytes;
-    }
-    if (!charged.IsZero()) node.ChargeExpenditure(charged, now);
+    // The bill goes straight to the serving node, bypassing the cluster's
+    // serial last-served billing hook.
+    rec.bill = MeterBill(metered, options_.metered_prices, rec.query,
+                         rec.served, &node, now);
     rec.credit_after = node.credit();
   }
 }
 
 void ParallelNodeSimulator::MergeRecord(const QueryRecord& rec,
                                         SimMetrics* metrics) {
-  const SimTime now = rec.query.arrival_time;
-
-  // Same per-query sequence as Simulator::ProcessQuery: rent components
-  // first, then the execution/build bill, then the outcome counters.
-  if (rec.rent_node_dollars > 0) {
-    metrics->cluster.node_rent_dollars += rec.rent_node_dollars;
-  }
-  metrics->operating_cost.disk_dollars += rec.rent_disk_dollars;
-  metrics->operating_cost.cpu_dollars += rec.rent_reservation_dollars;
-  metrics->operating_cost += rec.bill;
-  metrics->wan_bytes += rec.wan_bytes;
-
-  AccountOutcome(rec.served, metrics);
+  // Same per-query booking as Simulator::ProcessQuery.
+  BookQuery(rec.rent, rec.bill, rec.served, metrics, nullptr);
   books_[rec.node].credit = rec.credit_after;
 
-  if (options_.timeline_stride != 0 &&
-      (rec.index % options_.timeline_stride == 0 ||
-       rec.index + 1 == options_.num_queries)) {
+  if (TimelineSampleDue(options_, rec.index)) {
+    const SimTime now = rec.query.arrival_time;
     metrics->cost_over_time.Add(now, metrics->operating_cost.Total());
     Money credit;
     for (const NodeBooks& books : books_) credit += books.credit;
@@ -132,12 +63,7 @@ void ParallelNodeSimulator::MergeRecord(const QueryRecord& rec,
 
 void ParallelNodeSimulator::SyncRentTo(SimTime close, SimMetrics* metrics) {
   for (size_t n = 0; n < books_.size(); ++n) {
-    const RentSlice rent = AccrueNodeRent(n, close);
-    if (rent.surcharge_dollars > 0) {
-      metrics->cluster.node_rent_dollars += rent.surcharge_dollars;
-    }
-    metrics->operating_cost.disk_dollars += rent.disk_dollars;
-    metrics->operating_cost.cpu_dollars += rent.reservation_dollars;
+    BookRent(AccrueNodeRent(n, close), metrics);
     books_[n].credit = cluster_->node(n).credit();
   }
 }
@@ -151,7 +77,7 @@ void ParallelNodeSimulator::ApplyFleetChange(
       // A fresh node accrues rent from the rental instant and estimates
       // with its own metered model.
       NodeBooks books;
-      books.metered_until = close;
+      books.rent.metered_until = close;
       books.credit = cluster_->node(cluster_->num_nodes() - 1).credit();
       books_.push_back(books);
       metered_models_.push_back(
@@ -162,31 +88,15 @@ void ParallelNodeSimulator::ApplyFleetChange(
       // The heir absorbed the victim's remaining credit inside the
       // cluster; its sub-micro-dollar rent residue follows the same
       // books so scale-in never forgives metered rent.
-      const double residue =
-          books_[end.released_index].pending_rent_dollars;
+      const double residue = books_[end.released_index].rent.pending_dollars;
       books_.erase(books_.begin() +
                    static_cast<std::ptrdiff_t>(end.released_index));
       metered_models_.erase(metered_models_.begin() +
                             static_cast<std::ptrdiff_t>(end.released_index));
-      books_[end.heir_index].pending_rent_dollars += residue;
+      books_[end.heir_index].rent.pending_dollars += residue;
       books_[end.heir_index].credit =
           cluster_->node(end.heir_index).credit();
       break;
-    }
-  }
-}
-
-void ParallelNodeSimulator::FlushResidualRent() {
-  // Same rounded-up close of the books as Simulator::FlushResidualRent,
-  // node by node.
-  for (size_t n = 0; n < books_.size(); ++n) {
-    NodeBooks& books = books_[n];
-    if (books.pending_rent_dollars <= 0) continue;
-    const Money charge = Money::FromMicros(static_cast<int64_t>(
-        std::ceil(books.pending_rent_dollars * 1e6)));
-    books.pending_rent_dollars = 0;
-    if (!charge.IsZero()) {
-      cluster_->mutable_node(n).ChargeExpenditure(charge, last_close_);
     }
   }
 }
@@ -197,138 +107,61 @@ SimMetrics ParallelNodeSimulator::Run() {
   return std::move(result).value();
 }
 
-Status ParallelNodeSimulator::MaybeCheckpointAndCrash(
-    uint64_t processed, uint64_t previous, const SimMetrics& metrics) {
-  const CheckpointOptions& cp = options_.checkpoint;
-  if (processed >= options_.num_queries) return Status::OK();
-  // Window closes are the only deterministic boundaries here, so a
-  // snapshot lands at the first close at or past each multiple of
-  // `every` — i.e. when this window crossed one.
-  if (cp.every > 0 && processed / cp.every > previous / cp.every) {
-    CLOUDCACHE_RETURN_IF_ERROR(WriteSnapshot(processed, metrics));
-  }
-  if (cp.crash_after > 0 && processed >= cp.crash_after) {
-    return Status::ResourceExhausted(
-        "crash injection stopped the run after " +
-        std::to_string(processed) + " queries, before finalization");
-  }
-  return Status::OK();
+DriverSnapshot ParallelNodeSimulator::Snapshot() const {
+  DriverSnapshot snap;
+  snap.mode = kDriverModeWindowed;
+  snap.num_queries = options_.num_queries;
+  snap.scheme = cluster_;
+  snap.streams = {workload_};
+  return snap;
 }
 
 Status ParallelNodeSimulator::WriteSnapshot(uint64_t processed,
                                             const SimMetrics& metrics) const {
-  const CheckpointOptions& cp = options_.checkpoint;
-  persist::SnapshotWriter writer(cp.config_hash);
-  persist::Encoder* meta = writer.AddSection("meta");
-  meta->PutU8(kDriverModeWindowed);
-  meta->PutU64(processed);
-  meta->PutU64(options_.num_queries);
-  meta->PutString(cluster_->name());
-  persist::Encoder* driver = writer.AddSection("driver");
-  driver->PutDouble(last_close_);
-  driver->PutU64(books_.size());
-  for (const NodeBooks& books : books_) {
-    driver->PutDouble(books.pending_rent_dollars);
-    driver->PutDouble(books.metered_until);
-    driver->PutMoney(books.credit);
-  }
-  persist::Encoder* workload = writer.AddSection("workload");
-  workload->PutU64(1);
-  workload_->SaveState(workload);
-  cluster_->SaveState(writer.AddSection("scheme"));
-  persist::SaveSimMetrics(metrics, writer.AddSection("metrics"));
-  return writer.WriteToFile(cp.path);
+  return WriteDriverSnapshot(
+      options_.checkpoint, Snapshot(), processed, metrics,
+      [this](persist::Encoder* driver) {
+        driver->PutDouble(last_close_);
+        driver->PutU64(books_.size());
+        for (const NodeBooks& books : books_) {
+          driver->PutDouble(books.rent.pending_dollars);
+          driver->PutDouble(books.rent.metered_until);
+          driver->PutMoney(books.credit);
+        }
+      });
 }
 
 Status ParallelNodeSimulator::RestoreFrom(
     const persist::SnapshotReader& reader) {
-  CLOUDCACHE_RETURN_IF_ERROR(
-      reader.ExpectConfigHash(options_.checkpoint.config_hash));
-
-  Result<persist::Decoder> meta = reader.Section("meta");
-  CLOUDCACHE_RETURN_IF_ERROR(meta.status());
-  uint8_t mode = 0;
-  uint64_t processed = 0;
-  uint64_t total = 0;
-  std::string scheme_name;
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU8(&mode));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&processed));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&total));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadString(&scheme_name));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ExpectEnd());
-  if (mode != kDriverModeWindowed) {
-    return Status::FailedPrecondition(
-        "snapshot was written by driver mode " + std::to_string(mode) +
-        " but this run uses the windowed parallel driver (check --threads "
-        "against the checkpointed run)");
-  }
-  if (total != options_.num_queries) {
-    return Status::FailedPrecondition(
-        "snapshot run length " + std::to_string(total) +
-        " does not match this run's " +
-        std::to_string(options_.num_queries));
-  }
-  if (processed >= options_.num_queries) {
-    return Status::FailedPrecondition(
-        "snapshot claims more processed queries than the run length");
-  }
-  if (scheme_name != cluster_->name()) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under scheme '" + scheme_name +
-        "' but this run drives '" + cluster_->name() + "'");
-  }
-
-  // The fleet first: the rent books are index-aligned with it.
-  Result<persist::Decoder> scheme = reader.Section("scheme");
-  CLOUDCACHE_RETURN_IF_ERROR(scheme.status());
-  CLOUDCACHE_RETURN_IF_ERROR(cluster_->RestoreState(&scheme.value()));
-  CLOUDCACHE_RETURN_IF_ERROR(scheme->ExpectEnd());
-
-  Result<persist::Decoder> driver = reader.Section("driver");
-  CLOUDCACHE_RETURN_IF_ERROR(driver.status());
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&last_close_));
-  uint64_t book_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ReadLength(&book_count));
-  if (book_count != cluster_->num_nodes()) {
-    return Status::InvalidArgument(
-        "snapshot rent books cover " + std::to_string(book_count) +
-        " nodes but the restored fleet has " +
-        std::to_string(cluster_->num_nodes()));
-  }
-  books_.assign(book_count, NodeBooks{});
-  for (NodeBooks& books : books_) {
-    CLOUDCACHE_RETURN_IF_ERROR(
-        driver->ReadDouble(&books.pending_rent_dollars));
-    CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&books.metered_until));
-    CLOUDCACHE_RETURN_IF_ERROR(driver->ReadMoney(&books.credit));
-  }
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ExpectEnd());
-
-  Result<persist::Decoder> workload = reader.Section("workload");
-  CLOUDCACHE_RETURN_IF_ERROR(workload.status());
-  uint64_t generator_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(workload->ReadLength(&generator_count));
-  if (generator_count != 1) {
-    return Status::FailedPrecondition(
-        "snapshot has " + std::to_string(generator_count) +
-        " workload streams but the windowed driver runs one");
-  }
-  CLOUDCACHE_RETURN_IF_ERROR(workload_->RestoreState(&workload.value()));
-  CLOUDCACHE_RETURN_IF_ERROR(workload->ExpectEnd());
-
-  Result<persist::Decoder> metrics = reader.Section("metrics");
-  CLOUDCACHE_RETURN_IF_ERROR(metrics.status());
-  restored_metrics_ = SimMetrics();
-  CLOUDCACHE_RETURN_IF_ERROR(
-      persist::RestoreSimMetrics(&metrics.value(), &restored_metrics_));
-  CLOUDCACHE_RETURN_IF_ERROR(metrics->ExpectEnd());
-
+  Result<uint64_t> processed = RestoreDriverSnapshot(
+      reader, options_.checkpoint, Snapshot(), &restored_metrics_,
+      [this](persist::Decoder* driver) {
+        CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&last_close_));
+        uint64_t book_count = 0;
+        CLOUDCACHE_RETURN_IF_ERROR(driver->ReadLength(&book_count));
+        if (book_count != cluster_->num_nodes()) {
+          return Status::InvalidArgument(
+              "snapshot rent books cover " + std::to_string(book_count) +
+              " nodes but the restored fleet has " +
+              std::to_string(cluster_->num_nodes()));
+        }
+        books_.assign(book_count, NodeBooks{});
+        for (NodeBooks& books : books_) {
+          CLOUDCACHE_RETURN_IF_ERROR(
+              driver->ReadDouble(&books.rent.pending_dollars));
+          CLOUDCACHE_RETURN_IF_ERROR(
+              driver->ReadDouble(&books.rent.metered_until));
+          CLOUDCACHE_RETURN_IF_ERROR(driver->ReadMoney(&books.credit));
+        }
+        return Status::OK();
+      });
+  CLOUDCACHE_RETURN_IF_ERROR(processed.status());
   metered_models_.clear();
   for (size_t n = 0; n < cluster_->num_nodes(); ++n) {
     metered_models_.push_back(
         std::make_unique<CostModel>(catalog_, &options_.metered_prices));
   }
-  start_processed_ = processed;
+  start_processed_ = processed.value();
   restored_ = true;
   return Status::OK();
 }
@@ -339,25 +172,22 @@ Result<SimMetrics> ParallelNodeSimulator::RunChecked() {
     metrics = std::move(restored_metrics_);
   } else {
     metrics.scheme_name = cluster_->name();
+    const SimTime start = workload_->PeekNextArrival();
+    last_close_ = start;
+    books_.assign(cluster_->num_nodes(), NodeBooks{});
+    metered_models_.clear();
+    for (size_t n = 0; n < cluster_->num_nodes(); ++n) {
+      books_[n].rent.metered_until = start;
+      books_[n].credit = cluster_->node(n).credit();
+      metered_models_.push_back(
+          std::make_unique<CostModel>(catalog_, &options_.metered_prices));
+    }
   }
 
   // The window IS the elasticity check interval, so full windows land the
   // controller exactly where the serial path's modulo check fires.
   const uint64_t window_size =
       cluster_->options().elasticity.check_interval_queries;
-
-  if (!restored_) {
-    const SimTime start = workload_->PeekNextArrival();
-    last_close_ = start;
-    books_.assign(cluster_->num_nodes(), NodeBooks{});
-    metered_models_.clear();
-    for (size_t n = 0; n < cluster_->num_nodes(); ++n) {
-      books_[n].metered_until = start;
-      books_[n].credit = cluster_->node(n).credit();
-      metered_models_.push_back(
-          std::make_unique<CostModel>(catalog_, &options_.metered_prices));
-    }
-  }
 
   std::vector<QueryRecord> window;
   std::vector<std::vector<QueryRecord*>> slices;
@@ -403,15 +233,20 @@ Result<SimMetrics> ParallelNodeSimulator::RunChecked() {
     ApplyFleetChange(end, close);
     const uint64_t previous = processed;
     processed += count;
-    CLOUDCACHE_RETURN_IF_ERROR(
-        MaybeCheckpointAndCrash(processed, previous, metrics));
+    // Window closes are this driver's only deterministic boundaries, so a
+    // snapshot lands at the first close at or past each multiple of
+    // `every`.
+    CLOUDCACHE_RETURN_IF_ERROR(CheckpointStep(
+        options_.checkpoint, options_.num_queries, previous, processed,
+        [&] { return WriteSnapshot(processed, metrics); }));
   }
 
-  FlushResidualRent();
-  metrics.final_credit = cluster_->credit();
-  metrics.final_resident_bytes = cluster_->TotalResidentBytes();
-  metrics.final_extra_nodes = cluster_->TotalExtraCpuNodes();
-  cluster_->DescribeCluster(&metrics.cluster);
+  // The same rounded-up close of the books as the serial driver, node by
+  // node.
+  for (size_t n = 0; n < books_.size(); ++n) {
+    books_[n].rent.Flush(&cluster_->mutable_node(n), last_close_);
+  }
+  StampRunEnd(*cluster_, &metrics);
   return metrics;
 }
 

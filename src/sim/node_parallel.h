@@ -31,7 +31,7 @@ namespace cloudcache {
 ///      its own node: its scheme, its traffic counters, its rent books
 ///      (rent is metered per node on the node's own resident bytes over
 ///      the node's own arrival gaps, charged to the node's account — the
-///      same pending-fraction arithmetic as Simulator::MeterRent).
+///      same RentMeter the serial driver keeps once for the whole scheme).
 ///   3. Merge per-query records back in global arrival order — metrics,
 ///      quantile sketches, and timelines accumulate in that one fixed
 ///      order — then close the window serially: sync every node's rent to
@@ -87,15 +87,11 @@ class ParallelNodeSimulator {
     uint64_t index = 0;  // Global arrival index.
     size_t node = 0;     // Routed node (window-start snapshot).
     ServedQuery served;
-    // Rent accrued at this arrival on the serving node (already charged
-    // to its account by the task; merged into the metered breakdown in
-    // arrival order).
-    double rent_disk_dollars = 0;
-    double rent_reservation_dollars = 0;
-    double rent_node_dollars = 0;  // Rented-node surcharge portion.
-    // Metered execution + build bill (Simulator::MeterQuery arithmetic).
-    ResourceBreakdown bill;
-    uint64_t wan_bytes = 0;
+    // Rent accrued at this arrival on the serving node and the metered
+    // execution + build bill, both already charged to its account by the
+    // task; booked into the run metrics in arrival order.
+    RentAccrual rent;
+    MeteredBill bill;
     // Node credit after this query settled — lets the merge reconstruct
     // the fleet-wide credit timeline at any global index.
     Money credit_after;
@@ -103,31 +99,23 @@ class ParallelNodeSimulator {
 
   /// Driver-side per-node rent meter and credit mirror.
   struct NodeBooks {
-    /// Sub-micro-dollar rent awaiting a chargeable rounding (per node;
-    /// the classic driver keeps one global accumulator).
-    double pending_rent_dollars = 0;
-    /// The node's rent is integrated up to here.
-    SimTime metered_until = 0;
+    /// The node's own rent meter (the classic driver keeps one global
+    /// meter).
+    RentMeter rent;
     /// The node's credit after its last merged effect.
     Money credit;
-  };
-
-  /// Components of one rent accrual, for the metered breakdown.
-  struct RentSlice {
-    double disk_dollars = 0;
-    double reservation_dollars = 0;
-    double surcharge_dollars = 0;  // Included in reservation_dollars.
   };
 
   /// Serves node `index`'s slice of the current window, in arrival order.
   /// Runs on a pool worker; touches only node-`index` state.
   void ServeSlice(size_t index, QueryRecord* const* records, size_t count);
 
-  /// Prices node `index`'s rent over [books.metered_until, now], advances
-  /// the meter, and charges the node's account (pending-fraction
-  /// discipline). Called from slice tasks (distinct nodes only) and the
-  /// serial window-close sync.
-  RentSlice AccrueNodeRent(size_t index, SimTime now);
+  /// Meters node `index`'s rent up to `now` on its own books. Every node
+  /// beyond the coordinator is a rented cluster node and pays its own
+  /// surcharge over its own metered gaps (the classic driver bills the
+  /// fleet-wide surcharge to whichever node served last). Called from
+  /// slice tasks (distinct nodes only) and the serial window-close sync.
+  RentAccrual AccrueNodeRent(size_t index, SimTime now);
 
   /// Books one record into the run metrics. Serial, global arrival order.
   void MergeRecord(const QueryRecord& rec, SimMetrics* metrics);
@@ -139,13 +127,8 @@ class ParallelNodeSimulator {
   /// Re-aligns the per-node books and metered models after a scale event.
   void ApplyFleetChange(const ClusterScheme::WindowEnd& end, SimTime close);
 
-  /// End-of-run residual rent, per node (Simulator::FlushResidualRent).
-  void FlushResidualRent();
-
-  /// Checkpoint hooks (Simulator's counterparts, with window-granular
-  /// boundaries). `processed`/`previous` bracket the window just merged.
-  Status MaybeCheckpointAndCrash(uint64_t processed, uint64_t previous,
-                                 const SimMetrics& metrics);
+  /// This driver's snapshot layout (the windowed mode, one stream).
+  DriverSnapshot Snapshot() const;
   Status WriteSnapshot(uint64_t processed, const SimMetrics& metrics) const;
 
   const Catalog* catalog_;

@@ -5,180 +5,309 @@
 #include <utility>
 
 #include "src/persist/metrics_io.h"
+#include "src/sim/merge.h"
 #include "src/util/logging.h"
 
 namespace cloudcache {
 
-Simulator::Simulator(const Catalog* catalog, Scheme* scheme,
-                     WorkloadGenerator* workload, SimulatorOptions options)
-    : catalog_(catalog),
-      scheme_(scheme),
-      workload_(workload),
-      options_(options),
-      metered_model_(catalog, &options_.metered_prices) {}
-
-Simulator::Simulator(const Catalog* catalog, Scheme* scheme,
-                     std::vector<WorkloadGenerator*> workloads,
-                     SimulatorOptions options)
-    : catalog_(catalog),
-      scheme_(scheme),
-      workload_(nullptr),
-      tenant_workloads_(std::move(workloads)),
-      options_(options),
-      metered_model_(catalog, &options_.metered_prices) {
-  CLOUDCACHE_CHECK(!tenant_workloads_.empty());
-  for (WorkloadGenerator* generator : tenant_workloads_) {
-    CLOUDCACHE_CHECK(generator != nullptr);
-  }
-}
-
-void Simulator::MeterRent(SimTime now, SimMetrics* metrics) {
-  const double dt = now - last_meter_time_;
-  if (dt <= 0) return;
-  last_meter_time_ = now;
-  const PriceList& p = options_.metered_prices;
+RentAccrual RentMeter::Accrue(Scheme* payer, uint32_t rented_nodes,
+                              SimTime now, const SimulatorOptions& options) {
+  RentAccrual rent;
+  const double dt = now - metered_until;
+  if (dt <= 0) return rent;
+  metered_until = now;
+  const PriceList& p = options.metered_prices;
 
   // Rent is metered in double dollars: per-interval amounts on small
   // configurations can be far below one micro-dollar, and rounding each
   // interval through Money would silently zero them out. The quantities
-  // come through the scheme's cluster-aware totals, so a multi-node
-  // scheme pays for every node it operates; single-node schemes report
-  // their one cache and the arithmetic is exactly the pre-cluster path.
-  const double disk_dollars =
-      static_cast<double>(scheme_->TotalResidentBytes()) * dt *
-      p.disk_byte_second_dollars;
-  double reservation_dollars =
-      static_cast<double>(scheme_->TotalExtraCpuNodes()) * dt *
+  // come through the payer's cluster-aware totals, so a multi-node scheme
+  // pays for every node it operates; single-node schemes report their one
+  // cache and the arithmetic is exactly the pre-cluster path.
+  rent.disk_dollars = static_cast<double>(payer->TotalResidentBytes()) * dt *
+                      p.disk_byte_second_dollars;
+  rent.reservation_dollars =
+      static_cast<double>(payer->TotalExtraCpuNodes()) * dt *
       p.cpu_second_dollars * p.cpu_reserve_fraction;
   // Rented cluster nodes (beyond the always-on coordinator) bill at the
   // reservation rate scaled by the cluster's rent multiplier.
-  const uint32_t rented = scheme_->RentedNodes();
-  if (rented > 0) {
-    const double node_rent_dollars =
-        static_cast<double>(rented) * dt * p.cpu_second_dollars *
-        p.cpu_reserve_fraction * options_.node_rent_multiplier;
-    metrics->cluster.node_rent_dollars += node_rent_dollars;
-    reservation_dollars += node_rent_dollars;
+  if (rented_nodes > 0) {
+    rent.surcharge_dollars = static_cast<double>(rented_nodes) * dt *
+                             p.cpu_second_dollars * p.cpu_reserve_fraction *
+                             options.node_rent_multiplier;
+    rent.reservation_dollars += rent.surcharge_dollars;
   }
-  metrics->operating_cost.disk_dollars += disk_dollars;
-  metrics->operating_cost.cpu_dollars += reservation_dollars;
   // The account charge accumulates fractional micro-dollars and releases
   // them once they round to something chargeable.
-  pending_rent_dollars_ += disk_dollars + reservation_dollars;
-  const Money charge = Money::FromDollars(pending_rent_dollars_);
+  pending_dollars += rent.disk_dollars + rent.reservation_dollars;
+  const Money charge = Money::FromDollars(pending_dollars);
   if (!charge.IsZero()) {
-    pending_rent_dollars_ -= charge.ToDollars();
-    scheme_->ChargeExpenditure(charge, now);
+    pending_dollars -= charge.ToDollars();
+    payer->ChargeExpenditure(charge, now);
   }
+  return rent;
 }
 
-void Simulator::FlushResidualRent() {
-  if (pending_rent_dollars_ <= 0) return;
+void RentMeter::Flush(Scheme* payer, SimTime at) {
+  if (pending_dollars <= 0) return;
   // Round up: the cloud never forgives a fraction it already metered. The
-  // overcharge is bounded by one micro-dollar per run, in the account's
-  // favor, and it closes the books — final_credit now reflects every
-  // dollar the operating-cost breakdown counted.
-  const Money charge = Money::FromMicros(static_cast<int64_t>(
-      std::ceil(pending_rent_dollars_ * 1e6)));
-  pending_rent_dollars_ = 0;
-  if (!charge.IsZero()) scheme_->ChargeExpenditure(charge, last_meter_time_);
+  // overcharge is bounded by one micro-dollar per meter, in the account's
+  // favor.
+  const Money charge = Money::FromMicros(
+      static_cast<int64_t>(std::ceil(pending_dollars * 1e6)));
+  pending_dollars = 0;
+  if (!charge.IsZero()) payer->ChargeExpenditure(charge, at);
 }
 
-void Simulator::MeterQuery(const Query& query, const ServedQuery& served,
-                           SimTime now, SimMetrics* metrics,
-                           TenantMetrics* tenant) {
-  const PriceList& p = options_.metered_prices;
-  ResourceBreakdown bill;
+MeteredBill MeterBill(CostModel* metered, const PriceList& p,
+                      const Query& query, const ServedQuery& served,
+                      Scheme* payer, SimTime now) {
+  MeteredBill bill;
   Money charged;
-
   if (served.served) {
     // Re-price the executed plan's raw resource usage at metered rates.
     // The estimate stored in `served` was computed under the scheme's own
     // price list, but its physical quantities (seconds, ops, bytes) are
     // price-independent.
-    const ExecutionEstimate metered =
-        metered_model_.EstimateExecution(query, served.spec);
-    bill.cpu_dollars += p.CpuCost(metered.cpu_seconds).ToDollars();
-    bill.io_dollars += p.IoCost(metered.io_ops).ToDollars();
-    bill.network_dollars += p.NetworkCost(metered.wan_bytes).ToDollars();
-    charged += p.CpuCost(metered.cpu_seconds) + p.IoCost(metered.io_ops) +
-               p.NetworkCost(metered.wan_bytes);
-    metrics->wan_bytes += metered.wan_bytes;
-    if (tenant != nullptr) tenant->wan_bytes += metered.wan_bytes;
+    const ExecutionEstimate m = metered->EstimateExecution(query, served.spec);
+    bill.dollars.cpu_dollars += p.CpuCost(m.cpu_seconds).ToDollars();
+    bill.dollars.io_dollars += p.IoCost(m.io_ops).ToDollars();
+    bill.dollars.network_dollars += p.NetworkCost(m.wan_bytes).ToDollars();
+    charged += p.CpuCost(m.cpu_seconds) + p.IoCost(m.io_ops) +
+               p.NetworkCost(m.wan_bytes);
+    bill.wan_bytes += m.wan_bytes;
   }
-
-  // Builds triggered by this query.
   const BuildUsage& usage = served.build_usage;
   if (usage.cpu_seconds > 0 || usage.wan_bytes > 0 || usage.io_ops > 0) {
-    bill.cpu_dollars += p.CpuCost(usage.cpu_seconds).ToDollars();
-    bill.network_dollars += p.NetworkCost(usage.wan_bytes).ToDollars();
-    bill.io_dollars += p.IoCost(usage.io_ops).ToDollars();
-    metrics->wan_bytes += usage.wan_bytes;
-    if (tenant != nullptr) tenant->wan_bytes += usage.wan_bytes;
-    // Build spending was already withdrawn from the scheme's account as an
-    // investment (economy schemes), so it is not re-charged there; it is
-    // still part of the metered operating cost.
+    bill.dollars.cpu_dollars += p.CpuCost(usage.cpu_seconds).ToDollars();
+    bill.dollars.network_dollars += p.NetworkCost(usage.wan_bytes).ToDollars();
+    bill.dollars.io_dollars += p.IoCost(usage.io_ops).ToDollars();
+    bill.wan_bytes += usage.wan_bytes;
   }
-  metrics->operating_cost += bill;
-  if (tenant != nullptr) tenant->operating_cost += bill;
-  if (!charged.IsZero()) scheme_->ChargeExpenditure(charged, now);
+  if (!charged.IsZero()) payer->ChargeExpenditure(charged, now);
+  return bill;
+}
+
+void BookRent(const RentAccrual& rent, SimMetrics* metrics) {
+  if (rent.surcharge_dollars > 0) {
+    metrics->cluster.node_rent_dollars += rent.surcharge_dollars;
+  }
+  metrics->operating_cost.disk_dollars += rent.disk_dollars;
+  metrics->operating_cost.cpu_dollars += rent.reservation_dollars;
+}
+
+void BookQuery(const RentAccrual& rent, const MeteredBill& bill,
+               const ServedQuery& served, SimMetrics* metrics,
+               TenantMetrics* tenant) {
+  BookRent(rent, metrics);
+  metrics->operating_cost += bill.dollars;
+  metrics->wan_bytes += bill.wan_bytes;
+  AccountOutcome(served, metrics);
+  if (tenant != nullptr) {
+    tenant->operating_cost += bill.dollars;
+    tenant->wan_bytes += bill.wan_bytes;
+    AccountOutcome(served, tenant);
+  }
+}
+
+bool TimelineSampleDue(const SimulatorOptions& options, uint64_t index) {
+  return options.timeline_stride != 0 &&
+         (index % options.timeline_stride == 0 ||
+          index + 1 == options.num_queries);
+}
+
+void StampRunEnd(const Scheme& scheme, SimMetrics* metrics) {
+  metrics->final_credit = scheme.credit();
+  metrics->final_resident_bytes = scheme.TotalResidentBytes();
+  metrics->final_extra_nodes = scheme.TotalExtraCpuNodes();
+  // Cluster shape, if the scheme operates one (the no-op default leaves
+  // single-node runs without a cluster footprint).
+  scheme.DescribeCluster(&metrics->cluster);
+  if (metrics->tenants.empty()) return;
+  for (size_t t = 0; t < metrics->tenants.size(); ++t) {
+    metrics->tenants[t].final_regret =
+        scheme.TenantRegret(static_cast<uint32_t>(t));
+  }
+  metrics->fairness = ComputeFairness(metrics->tenants);
+}
+
+namespace {
+
+const char* DriverModeName(uint8_t mode) {
+  static const char* const kNames[] = {"single-stream", "multi-tenant",
+                                       "windowed parallel"};
+  return mode <= kDriverModeWindowed ? kNames[mode] : "unknown";
+}
+
+}  // namespace
+
+Status WriteDriverSnapshot(
+    const CheckpointOptions& cp, const DriverSnapshot& snap,
+    uint64_t processed, const SimMetrics& metrics,
+    const std::function<void(persist::Encoder*)>& put_driver) {
+  persist::SnapshotWriter writer(cp.config_hash);
+  persist::Encoder* meta = writer.AddSection("meta");
+  meta->PutU8(snap.mode);
+  meta->PutU64(processed);
+  meta->PutU64(snap.num_queries);
+  meta->PutString(snap.scheme->name());
+  put_driver(writer.AddSection("driver"));
+  persist::Encoder* workload = writer.AddSection("workload");
+  workload->PutU64(snap.streams.size());
+  for (const WorkloadGenerator* stream : snap.streams) {
+    stream->SaveState(workload);
+  }
+  snap.scheme->SaveState(writer.AddSection("scheme"));
+  persist::SaveSimMetrics(metrics, writer.AddSection("metrics"));
+  return writer.WriteToFile(cp.path);
+}
+
+Result<uint64_t> RestoreDriverSnapshot(
+    const persist::SnapshotReader& reader, const CheckpointOptions& cp,
+    const DriverSnapshot& snap, SimMetrics* metrics,
+    const std::function<Status(persist::Decoder*)>& read_driver) {
+  CLOUDCACHE_RETURN_IF_ERROR(reader.ExpectConfigHash(cp.config_hash));
+
+  Result<persist::Decoder> meta = reader.Section("meta");
+  CLOUDCACHE_RETURN_IF_ERROR(meta.status());
+  uint8_t mode = 0;
+  uint64_t processed = 0;
+  uint64_t total = 0;
+  std::string scheme_name;
+  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU8(&mode));
+  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&processed));
+  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&total));
+  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadString(&scheme_name));
+  CLOUDCACHE_RETURN_IF_ERROR(meta->ExpectEnd());
+  if (mode != snap.mode) {
+    return Status::FailedPrecondition(
+        "snapshot was written by driver mode " + std::to_string(mode) +
+        " (" + DriverModeName(mode) + ") but this run uses mode " +
+        std::to_string(snap.mode) + " (" + DriverModeName(snap.mode) +
+        "); check --tenants and --threads against the checkpointed run");
+  }
+  if (total != snap.num_queries) {
+    return Status::FailedPrecondition(
+        "snapshot run length " + std::to_string(total) +
+        " does not match this run's " + std::to_string(snap.num_queries));
+  }
+  if (processed >= snap.num_queries) {
+    return Status::FailedPrecondition(
+        "snapshot claims more processed queries than the run length");
+  }
+  if (scheme_name != snap.scheme->name()) {
+    return Status::FailedPrecondition(
+        "snapshot was taken under scheme '" + scheme_name +
+        "' but this run drives '" + snap.scheme->name() + "'");
+  }
+
+  // The scheme before the driver books: the windowed driver's books are
+  // index-aligned with the restored fleet.
+  Result<persist::Decoder> scheme = reader.Section("scheme");
+  CLOUDCACHE_RETURN_IF_ERROR(scheme.status());
+  CLOUDCACHE_RETURN_IF_ERROR(snap.scheme->RestoreState(&scheme.value()));
+  CLOUDCACHE_RETURN_IF_ERROR(scheme->ExpectEnd());
+
+  Result<persist::Decoder> driver = reader.Section("driver");
+  CLOUDCACHE_RETURN_IF_ERROR(driver.status());
+  CLOUDCACHE_RETURN_IF_ERROR(read_driver(&driver.value()));
+  CLOUDCACHE_RETURN_IF_ERROR(driver->ExpectEnd());
+
+  Result<persist::Decoder> workload = reader.Section("workload");
+  CLOUDCACHE_RETURN_IF_ERROR(workload.status());
+  uint64_t stream_count = 0;
+  CLOUDCACHE_RETURN_IF_ERROR(workload->ReadLength(&stream_count));
+  if (stream_count != snap.streams.size()) {
+    return Status::FailedPrecondition(
+        "snapshot has " + std::to_string(stream_count) +
+        " workload streams but this run has " +
+        std::to_string(snap.streams.size()));
+  }
+  for (WorkloadGenerator* stream : snap.streams) {
+    CLOUDCACHE_RETURN_IF_ERROR(stream->RestoreState(&workload.value()));
+  }
+  CLOUDCACHE_RETURN_IF_ERROR(workload->ExpectEnd());
+
+  Result<persist::Decoder> section = reader.Section("metrics");
+  CLOUDCACHE_RETURN_IF_ERROR(section.status());
+  *metrics = SimMetrics();
+  CLOUDCACHE_RETURN_IF_ERROR(
+      persist::RestoreSimMetrics(&section.value(), metrics));
+  CLOUDCACHE_RETURN_IF_ERROR(section->ExpectEnd());
+  if (metrics->tenants.size() != snap.tenant_slices) {
+    return Status::FailedPrecondition(
+        "snapshot metrics carry " + std::to_string(metrics->tenants.size()) +
+        " tenant slices but this run has " +
+        std::to_string(snap.tenant_slices));
+  }
+  return processed;
+}
+
+Simulator::Simulator(const Catalog* catalog, Scheme* scheme,
+                     WorkloadGenerator* workload, SimulatorOptions options)
+    : Simulator(catalog, scheme, std::vector<WorkloadGenerator*>{workload},
+                std::move(options)) {
+  tenant_slices_ = false;
+}
+
+Simulator::Simulator(const Catalog* catalog, Scheme* scheme,
+                     std::vector<WorkloadGenerator*> workloads,
+                     SimulatorOptions options)
+    : scheme_(scheme),
+      streams_(std::move(workloads)),
+      options_(options),
+      metered_model_(catalog, &options_.metered_prices) {
+  CLOUDCACHE_CHECK(!streams_.empty());
+  for (WorkloadGenerator* generator : streams_) {
+    CLOUDCACHE_CHECK(generator != nullptr);
+  }
 }
 
 ServedQuery Simulator::ProcessQuery(const Query& query, uint64_t i,
                                     SimMetrics* metrics,
                                     TenantMetrics* tenant) {
   const SimTime now = query.arrival_time;
-
-  MeterRent(now, metrics);
+  const RentAccrual rent =
+      rent_.Accrue(scheme_, scheme_->RentedNodes(), now, options_);
   ServedQuery served = scheme_->OnQuery(query, now);
-  MeterQuery(query, served, now, metrics, tenant);
+  const MeteredBill bill = MeterBill(&metered_model_, options_.metered_prices,
+                                     query, served, scheme_, now);
+  BookQuery(rent, bill, served, metrics, tenant);
 
-  AccountOutcome(served, metrics);
-  if (tenant != nullptr) AccountOutcome(served, tenant);
-
-  if (options_.timeline_stride != 0 &&
-      (i % options_.timeline_stride == 0 ||
-       i + 1 == options_.num_queries)) {
+  if (TimelineSampleDue(options_, i)) {
     metrics->cost_over_time.Add(now, metrics->operating_cost.Total());
     metrics->credit_over_time.Add(now, scheme_->credit().ToDollars());
   }
   return served;
 }
 
+SimMetrics Simulator::StartRun() {
+  // A restored run continues the interrupted run's accumulators; its rent
+  // meter was restored with them.
+  if (restored_) return std::move(restored_metrics_);
+  SimMetrics metrics;
+  metrics.scheme_name = scheme_->name();
+  if (tenant_slices_) {
+    metrics.tenants.resize(streams_.size());
+    for (size_t t = 0; t < metrics.tenants.size(); ++t) {
+      metrics.tenants[t].tenant_id = static_cast<uint32_t>(t);
+    }
+  }
+  const size_t first = MergeHead(streams_.size(), [this](size_t u) {
+    return streams_[u]->PeekNextArrival();
+  });
+  rent_.metered_until = streams_[first]->PeekNextArrival();
+  return metrics;
+}
+
 void Simulator::ExternalBegin() {
-  if (restored_) {
-    // Adopt the interrupted run's accumulators, exactly as RunChecked
-    // does; last_meter_time_/pending_rent_dollars_ were restored already.
-    external_metrics_ = std::move(restored_metrics_);
-    external_processed_ = start_index_;
-    return;
-  }
-  external_metrics_.scheme_name = scheme_->name();
-  external_processed_ = 0;
-  if (tenant_workloads_.empty()) {
-    // DriveSingleStream's fresh-start init, verbatim.
-    last_meter_time_ = workload_->PeekNextArrival();
-    return;
-  }
-  // DriveMultiTenant's fresh-start init: tenant slices plus the rent
-  // meter's origin at the earliest peeked arrival (what the seeded event
-  // queue's Top().time is — ties share the timestamp, so the tie-break
-  // cannot change the value).
-  external_metrics_.tenants.resize(tenant_workloads_.size());
-  for (size_t t = 0; t < external_metrics_.tenants.size(); ++t) {
-    external_metrics_.tenants[t].tenant_id = static_cast<uint32_t>(t);
-  }
-  SimTime first = tenant_workloads_[0]->PeekNextArrival();
-  for (size_t t = 1; t < tenant_workloads_.size(); ++t) {
-    const SimTime peek = tenant_workloads_[t]->PeekNextArrival();
-    if (peek < first) first = peek;
-  }
-  last_meter_time_ = first;
+  external_metrics_ = StartRun();
+  external_processed_ = start_index_;
 }
 
 ServedQuery Simulator::ExternalServe(const Query& query) {
   TenantMetrics* tenant = nullptr;
-  if (!tenant_workloads_.empty()) {
+  if (tenant_slices_) {
     CLOUDCACHE_CHECK_LT(static_cast<size_t>(query.tenant_id),
                         external_metrics_.tenants.size());
     tenant = &external_metrics_.tenants[query.tenant_id];
@@ -209,244 +338,61 @@ SimMetrics Simulator::Run() {
 }
 
 Result<SimMetrics> Simulator::RunChecked() {
-  SimMetrics metrics;
-  if (restored_) {
-    // Continue the interrupted run's accumulators; the drivers skip their
-    // fresh-start initialization below.
-    metrics = std::move(restored_metrics_);
+  SimMetrics metrics = StartRun();
+  for (uint64_t i = start_index_; i < options_.num_queries; ++i) {
+    const size_t t = MergeHead(streams_.size(), [this](size_t u) {
+      return streams_[u]->PeekNextArrival();
+    });
+    const SimTime peek = streams_[t]->PeekNextArrival();
+    const Query query = streams_[t]->Next();
+    // The merge chose the stream by its peeked arrival; drawing the query
+    // must not move it.
+    CLOUDCACHE_CHECK(query.arrival_time == peek);
+    ProcessQuery(query, i, &metrics,
+                 tenant_slices_ ? &metrics.tenants[t] : nullptr);
+    CLOUDCACHE_RETURN_IF_ERROR(CheckpointStep(
+        options_.checkpoint, options_.num_queries, i, i + 1,
+        [&] { return WriteSnapshot(i + 1, metrics); }));
   }
-  const Status driven = tenant_workloads_.empty()
-                            ? DriveSingleStream(&metrics)
-                            : DriveMultiTenant(&metrics);
-  CLOUDCACHE_RETURN_IF_ERROR(driven);
-  // Cluster shape, if the scheme operates one (no-op default leaves the
-  // classic single-node runs without a cluster footprint). The simulator
-  // already accumulated cluster.node_rent_dollars while metering.
-  scheme_->DescribeCluster(&metrics.cluster);
+  rent_.Flush(scheme_, rent_.metered_until);
+  StampRunEnd(*scheme_, &metrics);
   return metrics;
 }
 
-Status Simulator::MaybeCheckpointAndCrash(uint64_t processed,
-                                          const SimMetrics& metrics) {
-  const CheckpointOptions& cp = options_.checkpoint;
-  // A completed run never checkpoints or crashes at its final boundary:
-  // there is nothing left to resume.
-  if (processed >= options_.num_queries) return Status::OK();
-  if (cp.every > 0 && processed % cp.every == 0) {
-    CLOUDCACHE_RETURN_IF_ERROR(WriteSnapshot(processed, metrics));
-  }
-  if (cp.crash_after > 0 && processed >= cp.crash_after) {
-    return Status::ResourceExhausted(
-        "crash injection stopped the run after " +
-        std::to_string(processed) + " queries, before finalization");
-  }
-  return Status::OK();
+DriverSnapshot Simulator::Snapshot() const {
+  DriverSnapshot snap;
+  snap.mode =
+      tenant_slices_ ? kDriverModeMultiTenant : kDriverModeSingleStream;
+  snap.num_queries = options_.num_queries;
+  snap.scheme = scheme_;
+  snap.streams = streams_;
+  snap.tenant_slices = tenant_slices_ ? streams_.size() : 0;
+  return snap;
 }
 
 Status Simulator::WriteSnapshot(uint64_t processed,
                                 const SimMetrics& metrics) const {
-  const CheckpointOptions& cp = options_.checkpoint;
-  persist::SnapshotWriter writer(cp.config_hash);
-  persist::Encoder* meta = writer.AddSection("meta");
-  meta->PutU8(tenant_workloads_.empty() ? kDriverModeSingleStream
-                                        : kDriverModeMultiTenant);
-  meta->PutU64(processed);
-  meta->PutU64(options_.num_queries);
-  meta->PutString(scheme_->name());
-  persist::Encoder* driver = writer.AddSection("driver");
-  driver->PutDouble(last_meter_time_);
-  driver->PutDouble(pending_rent_dollars_);
-  persist::Encoder* workload = writer.AddSection("workload");
-  if (tenant_workloads_.empty()) {
-    workload->PutU64(1);
-    workload_->SaveState(workload);
-  } else {
-    workload->PutU64(tenant_workloads_.size());
-    for (const WorkloadGenerator* generator : tenant_workloads_) {
-      generator->SaveState(workload);
-    }
-  }
-  scheme_->SaveState(writer.AddSection("scheme"));
-  persist::SaveSimMetrics(metrics, writer.AddSection("metrics"));
-  return writer.WriteToFile(cp.path);
+  return WriteDriverSnapshot(options_.checkpoint, Snapshot(), processed,
+                             metrics, [this](persist::Encoder* driver) {
+                               driver->PutDouble(rent_.metered_until);
+                               driver->PutDouble(rent_.pending_dollars);
+                             });
 }
 
 Status Simulator::RestoreFrom(const persist::SnapshotReader& reader) {
-  CLOUDCACHE_RETURN_IF_ERROR(
-      reader.ExpectConfigHash(options_.checkpoint.config_hash));
   if (!scheme_->SupportsCheckpoint()) {
     return Status::FailedPrecondition(
         "scheme does not support checkpoint/restore");
   }
-
-  Result<persist::Decoder> meta = reader.Section("meta");
-  CLOUDCACHE_RETURN_IF_ERROR(meta.status());
-  uint8_t mode = 0;
-  uint64_t processed = 0;
-  uint64_t total = 0;
-  std::string scheme_name;
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU8(&mode));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&processed));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadU64(&total));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ReadString(&scheme_name));
-  CLOUDCACHE_RETURN_IF_ERROR(meta->ExpectEnd());
-  const uint8_t expected_mode = tenant_workloads_.empty()
-                                    ? kDriverModeSingleStream
-                                    : kDriverModeMultiTenant;
-  if (mode != expected_mode) {
-    return Status::FailedPrecondition(
-        "snapshot was written by driver mode " + std::to_string(mode) +
-        " but this run uses mode " + std::to_string(expected_mode) +
-        " (check --tenants and --threads against the checkpointed run)");
-  }
-  if (total != options_.num_queries) {
-    return Status::FailedPrecondition(
-        "snapshot run length " + std::to_string(total) +
-        " does not match this run's " +
-        std::to_string(options_.num_queries));
-  }
-  if (processed >= options_.num_queries) {
-    return Status::FailedPrecondition(
-        "snapshot claims more processed queries than the run length");
-  }
-  if (scheme_name != scheme_->name()) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under scheme '" + scheme_name +
-        "' but this run drives '" + scheme_->name() + "'");
-  }
-
-  Result<persist::Decoder> driver = reader.Section("driver");
-  CLOUDCACHE_RETURN_IF_ERROR(driver.status());
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&last_meter_time_));
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&pending_rent_dollars_));
-  CLOUDCACHE_RETURN_IF_ERROR(driver->ExpectEnd());
-
-  Result<persist::Decoder> workload = reader.Section("workload");
-  CLOUDCACHE_RETURN_IF_ERROR(workload.status());
-  uint64_t generator_count = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(workload->ReadLength(&generator_count));
-  const uint64_t expected_generators =
-      tenant_workloads_.empty() ? 1 : tenant_workloads_.size();
-  if (generator_count != expected_generators) {
-    return Status::FailedPrecondition(
-        "snapshot has " + std::to_string(generator_count) +
-        " workload streams but this run has " +
-        std::to_string(expected_generators));
-  }
-  if (tenant_workloads_.empty()) {
-    CLOUDCACHE_RETURN_IF_ERROR(workload_->RestoreState(&workload.value()));
-  } else {
-    for (WorkloadGenerator* generator : tenant_workloads_) {
-      CLOUDCACHE_RETURN_IF_ERROR(generator->RestoreState(&workload.value()));
-    }
-  }
-  CLOUDCACHE_RETURN_IF_ERROR(workload->ExpectEnd());
-
-  Result<persist::Decoder> scheme = reader.Section("scheme");
-  CLOUDCACHE_RETURN_IF_ERROR(scheme.status());
-  CLOUDCACHE_RETURN_IF_ERROR(scheme_->RestoreState(&scheme.value()));
-  CLOUDCACHE_RETURN_IF_ERROR(scheme->ExpectEnd());
-
-  Result<persist::Decoder> metrics = reader.Section("metrics");
-  CLOUDCACHE_RETURN_IF_ERROR(metrics.status());
-  restored_metrics_ = SimMetrics();
-  CLOUDCACHE_RETURN_IF_ERROR(
-      persist::RestoreSimMetrics(&metrics.value(), &restored_metrics_));
-  CLOUDCACHE_RETURN_IF_ERROR(metrics->ExpectEnd());
-  if (!tenant_workloads_.empty() &&
-      restored_metrics_.tenants.size() != tenant_workloads_.size()) {
-    return Status::FailedPrecondition(
-        "snapshot metrics carry " +
-        std::to_string(restored_metrics_.tenants.size()) +
-        " tenant slices but this run has " +
-        std::to_string(tenant_workloads_.size()));
-  }
-
-  start_index_ = processed;
+  Result<uint64_t> processed = RestoreDriverSnapshot(
+      reader, options_.checkpoint, Snapshot(), &restored_metrics_,
+      [this](persist::Decoder* driver) {
+        CLOUDCACHE_RETURN_IF_ERROR(driver->ReadDouble(&rent_.metered_until));
+        return driver->ReadDouble(&rent_.pending_dollars);
+      });
+  CLOUDCACHE_RETURN_IF_ERROR(processed.status());
+  start_index_ = processed.value();
   restored_ = true;
-  return Status::OK();
-}
-
-Status Simulator::DriveSingleStream(SimMetrics* metrics) {
-  if (!restored_) {
-    metrics->scheme_name = scheme_->name();
-    last_meter_time_ = workload_->PeekNextArrival();
-  }
-
-  // Single-stream discipline: the paper serves queries one at a time in
-  // arrival order, so the generator IS the schedule and the loop needs no
-  // event queue — queries are processed directly as they are drawn. The
-  // multi-tenant path below is the queued generalization.
-  for (uint64_t i = start_index_; i < options_.num_queries; ++i) {
-    const Query query = workload_->Next();
-    ProcessQuery(query, i, metrics, nullptr);
-    CLOUDCACHE_RETURN_IF_ERROR(MaybeCheckpointAndCrash(i + 1, *metrics));
-  }
-  FlushResidualRent();
-
-  metrics->final_credit = scheme_->credit();
-  metrics->final_resident_bytes = scheme_->TotalResidentBytes();
-  metrics->final_extra_nodes = scheme_->TotalExtraCpuNodes();
-  return Status::OK();
-}
-
-Status Simulator::DriveMultiTenant(SimMetrics* metrics) {
-  if (!restored_) {
-    metrics->scheme_name = scheme_->name();
-    metrics->tenants.resize(tenant_workloads_.size());
-    for (size_t t = 0; t < metrics->tenants.size(); ++t) {
-      metrics->tenants[t].tenant_id = static_cast<uint32_t>(t);
-    }
-  }
-
-  // Seed the queue with every tenant's first arrival. From here on the
-  // queue always holds exactly one event per tenant — its next arrival —
-  // so a pop picks the globally earliest query, with equal timestamps
-  // resolved in tenant order by SimEvent::tie regardless of the order the
-  // events were pushed in. The merged schedule is therefore a pure
-  // function of the tenant generators, never of heap internals.
-  EventQueue queue;
-  for (size_t t = 0; t < tenant_workloads_.size(); ++t) {
-    SimEvent event;
-    event.time = tenant_workloads_[t]->PeekNextArrival();
-    event.kind = SimEvent::Kind::kArrival;
-    event.payload = t;
-    event.tie = static_cast<uint32_t>(t);
-    queue.Push(event);
-  }
-  // The queue is rebuilt from the (possibly restored) generators' peeked
-  // arrivals either way; only the rent meter's origin is fresh-run state.
-  if (!restored_) last_meter_time_ = queue.Top().time;
-
-  for (uint64_t i = start_index_; i < options_.num_queries; ++i) {
-    const SimEvent event = queue.Pop();
-    const size_t t = static_cast<size_t>(event.payload);
-    WorkloadGenerator* generator = tenant_workloads_[t];
-    const Query query = generator->Next();
-    // The event was scheduled at the generator's peeked arrival; drawing
-    // the query must not move it.
-    CLOUDCACHE_CHECK(query.arrival_time == event.time);
-
-    SimEvent next;
-    next.time = generator->PeekNextArrival();
-    next.kind = SimEvent::Kind::kArrival;
-    next.payload = t;
-    next.tie = static_cast<uint32_t>(t);
-    queue.Push(next);
-
-    ProcessQuery(query, i, metrics, &metrics->tenants[t]);
-    CLOUDCACHE_RETURN_IF_ERROR(MaybeCheckpointAndCrash(i + 1, *metrics));
-  }
-  FlushResidualRent();
-
-  metrics->final_credit = scheme_->credit();
-  metrics->final_resident_bytes = scheme_->TotalResidentBytes();
-  metrics->final_extra_nodes = scheme_->TotalExtraCpuNodes();
-  for (size_t t = 0; t < metrics->tenants.size(); ++t) {
-    metrics->tenants[t].final_regret =
-        scheme_->TenantRegret(static_cast<uint32_t>(t));
-  }
-  metrics->fairness = ComputeFairness(metrics->tenants);
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -8,8 +9,8 @@
 #include "src/cost/cost_model.h"
 #include "src/cost/price_list.h"
 #include "src/persist/snapshot.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
+#include "src/util/status.h"
 #include "src/workload/generator.h"
 
 namespace cloudcache {
@@ -116,6 +117,129 @@ void AccountOutcome(const ServedQuery& served, Counters* c) {
   }
 }
 
+// --- Per-query rules shared by the serial Simulator below and the
+// windowed ParallelNodeSimulator (src/sim/node_parallel.h). Each rule is
+// defined once here, so the drivers differ only in how they schedule
+// queries, never in what a query costs or how a run is checkpointed.
+
+/// Rent accrued over one metered gap, split for the metered breakdown.
+struct RentAccrual {
+  double disk_dollars = 0;
+  double reservation_dollars = 0;  // Includes surcharge_dollars.
+  double surcharge_dollars = 0;    // The rented-cluster-node portion.
+};
+
+/// Integrates one payer's rent between arrivals and charges it to the
+/// payer's account. The serial driver keeps one meter for the whole
+/// scheme; the windowed driver keeps one per cluster node.
+struct RentMeter {
+  /// Rent is integrated up to here.
+  SimTime metered_until = 0;
+  /// Rent not yet charged because it rounds below a micro-dollar.
+  double pending_dollars = 0;
+
+  /// Prices `payer`'s disk + node-reservation rent — plus the surcharge
+  /// of `rented_nodes` rented cluster nodes — over [metered_until, now],
+  /// advances the meter, and charges whatever has accumulated to a whole
+  /// micro-dollar. Returns zero rent when `now` is not past the meter.
+  RentAccrual Accrue(Scheme* payer, uint32_t rented_nodes, SimTime now,
+                     const SimulatorOptions& options);
+
+  /// Closes the books at run end: charges the sub-micro-dollar residue,
+  /// rounded UP, at `at`. The metered breakdown already counted the exact
+  /// fraction; without this, final credit would disagree with the
+  /// operating-cost totals by the unbilled remainder.
+  void Flush(Scheme* payer, SimTime at);
+};
+
+/// One query's metered execution + build bill.
+struct MeteredBill {
+  ResourceBreakdown dollars;
+  uint64_t wan_bytes = 0;
+};
+
+/// Re-prices what `served` used at `prices` — the executed plan's
+/// physical quantities through `metered`, plus the builds it triggered —
+/// and charges the execution portion to `payer` at `now`. Builds are not
+/// re-charged: economy schemes already paid them as investments, but they
+/// are still part of the metered operating cost.
+MeteredBill MeterBill(CostModel* metered, const PriceList& prices,
+                      const Query& query, const ServedQuery& served,
+                      Scheme* payer, SimTime now);
+
+/// Books one query's rent, bill and outcome: the accounting half of the
+/// per-query pipeline. Rent is shared-infrastructure spending, so it
+/// lands only on the run-wide breakdown, never on `tenant` (may be null).
+void BookQuery(const RentAccrual& rent, const MeteredBill& bill,
+               const ServedQuery& served, SimMetrics* metrics,
+               TenantMetrics* tenant);
+
+/// Books rent that accrued outside any query (the windowed driver's
+/// window-close sync).
+void BookRent(const RentAccrual& rent, SimMetrics* metrics);
+
+/// True when merged query `index` samples the cost and credit timelines.
+bool TimelineSampleDue(const SimulatorOptions& options, uint64_t index);
+
+/// Stamps the run-end figures every driver reports: final credit,
+/// residency and extra nodes, the cluster shape, and — when the run keeps
+/// tenant slices — each tenant's standing regret and the fairness
+/// summary. Call after the residual rent is flushed.
+void StampRunEnd(const Scheme& scheme, SimMetrics* metrics);
+
+/// The checkpoint cadence. After the queries in (previous, processed]
+/// were processed — one query on the serial driver, one window on the
+/// windowed one — calls `write` if that span crossed a multiple of
+/// `every`, then injects the configured crash at or past `crash_after`.
+/// A completed run neither checkpoints nor crashes: nothing is left to
+/// resume.
+template <typename Write>
+Status CheckpointStep(const CheckpointOptions& cp, uint64_t num_queries,
+                      uint64_t previous, uint64_t processed,
+                      const Write& write) {
+  if (processed >= num_queries) return Status::OK();
+  if (cp.every > 0 && processed / cp.every > previous / cp.every) {
+    CLOUDCACHE_RETURN_IF_ERROR(write());
+  }
+  if (cp.crash_after > 0 && processed >= cp.crash_after) {
+    return Status::ResourceExhausted(
+        "crash injection stopped the run after " +
+        std::to_string(processed) + " queries, before finalization");
+  }
+  return Status::OK();
+}
+
+/// What a driver puts in its snapshot, in the one section layout every
+/// driver shares: "meta" (driver mode, processed count, run length,
+/// scheme name), "driver" (the driver's own rent books), "workload"
+/// (every stream generator), "scheme", and "metrics".
+struct DriverSnapshot {
+  uint8_t mode = kDriverModeSingleStream;
+  uint64_t num_queries = 0;
+  Scheme* scheme = nullptr;
+  std::vector<WorkloadGenerator*> streams;
+  /// Tenant slices the run's metrics must carry (0 = none).
+  size_t tenant_slices = 0;
+};
+
+/// Writes `snap` at `processed` queries to `cp.path`, stamped with
+/// `cp.config_hash`; `put_driver` fills the "driver" section.
+Status WriteDriverSnapshot(
+    const CheckpointOptions& cp, const DriverSnapshot& snap,
+    uint64_t processed, const SimMetrics& metrics,
+    const std::function<void(persist::Encoder*)>& put_driver);
+
+/// Restores what WriteDriverSnapshot wrote into `snap`'s scheme, streams
+/// and `metrics`; `read_driver` parses the "driver" section after the
+/// scheme is restored. A snapshot of another configuration, driver mode,
+/// run length or scheme is refused with a descriptive Status before any
+/// state is overwritten; after any error the driver must be discarded.
+/// Returns the processed count.
+Result<uint64_t> RestoreDriverSnapshot(
+    const persist::SnapshotReader& reader, const CheckpointOptions& cp,
+    const DriverSnapshot& snap, SimMetrics* metrics,
+    const std::function<Status(persist::Decoder*)>& read_driver);
+
 /// Discrete-event driver: feeds a workload through a Scheme and meters
 /// what the cloud actually pays (Fig. 4) and what users actually wait
 /// (Fig. 5).
@@ -126,22 +250,26 @@ void AccountOutcome(const ServedQuery& served, Counters* c) {
 /// integrated between arrivals — so a scheme whose internal prices ignore
 /// a resource (net-only) still pays for it here, exactly as in the paper's
 /// evaluation.
+///
+/// One drive loop serves every stream count: each step draws the next
+/// query from the stream MergeHead (src/sim/merge.h) picks and runs the
+/// per-query pipeline on it. A single stream merges trivially.
 class Simulator {
  public:
-  /// Single-stream driver: the paper's evaluation loop. The generator IS
-  /// the schedule, so queries are processed directly as they are drawn.
+  /// Single-stream driver: the paper's evaluation loop. The run keeps no
+  /// tenant slices.
   Simulator(const Catalog* catalog, Scheme* scheme,
             WorkloadGenerator* workload, SimulatorOptions options);
 
   /// Multi-tenant driver: merges the independent query streams in
-  /// timestamp order through an EventQueue (ties break by tenant id, then
-  /// insertion order), so N tenants compete for the scheme's one cache
-  /// under the shared economy. `workloads[t]` is tenant t's generator (it
-  /// should carry WorkloadOptions::tenant_id = t); `options.num_queries`
-  /// counts the merged total across tenants. Works for any N >= 1 — with
-  /// one stream the merge degenerates to the single-stream schedule and
-  /// the metrics are bit-identical to the single-stream constructor's
-  /// (plus a one-entry `SimMetrics::tenants` slice).
+  /// timestamp order (ties break by tenant id), so N tenants compete for
+  /// the scheme's one cache under the shared economy. `workloads[t]` is
+  /// tenant t's generator (it should carry WorkloadOptions::tenant_id =
+  /// t); `options.num_queries` counts the merged total across tenants.
+  /// Works for any N >= 1 — with one stream the merge degenerates to the
+  /// single-stream schedule and the metrics are bit-identical to the
+  /// single-stream constructor's (plus a one-entry `SimMetrics::tenants`
+  /// slice).
   Simulator(const Catalog* catalog, Scheme* scheme,
             std::vector<WorkloadGenerator*> workloads,
             SimulatorOptions options);
@@ -171,7 +299,7 @@ class Simulator {
   // checkpoints restore into either driver.
 
   /// Prepares an externally driven run: performs exactly the fresh-start
-  /// initialization of the internal drivers (scheme name, tenant slices,
+  /// initialization of the internal driver (scheme name, tenant slices,
   /// rent-meter origin at the earliest peeked arrival) — or, after
   /// RestoreFrom, adopts the interrupted run's accumulators and resume
   /// index. Call once, before the first ExternalServe.
@@ -179,14 +307,14 @@ class Simulator {
 
   /// Serves one query through the shared per-query pipeline at the next
   /// merge index. The caller must present queries in the same merged
-  /// order the internal drivers would produce (arrival time, ties by
-  /// tenant id) and must have drawn them from this simulator's own
-  /// generators; in multi-tenant mode `query.tenant_id` selects the
-  /// metrics slice. Returns the served outcome for the caller's reply.
+  /// order the internal driver would produce (MergeHead) and must have
+  /// drawn them from this simulator's own generators; in multi-tenant
+  /// mode `query.tenant_id` selects the metrics slice. Returns the served
+  /// outcome for the caller's reply.
   ServedQuery ExternalServe(const Query& query);
 
   /// Writes a snapshot at the current external boundary, through the same
-  /// writer the internal drivers use. Refuses (kFailedPrecondition) once
+  /// writer the internal driver uses. Refuses (kFailedPrecondition) once
   /// the run is complete — a finished run has nothing to resume — and
   /// requires a configured checkpoint path.
   Status ExternalCheckpoint() const;
@@ -203,12 +331,12 @@ class Simulator {
   const SimulatorOptions& options() const { return options_; }
 
  private:
-  Status DriveSingleStream(SimMetrics* metrics);
-  Status DriveMultiTenant(SimMetrics* metrics);
-  /// Writes a snapshot at checkpoint boundaries and injects the
-  /// configured crash. `processed` counts queries fully processed.
-  Status MaybeCheckpointAndCrash(uint64_t processed,
-                                 const SimMetrics& metrics);
+  /// The metrics a run starts from: fresh (scheme name, tenant slices,
+  /// rent-meter origin at the earliest peeked arrival) or, after
+  /// RestoreFrom, the interrupted run's accumulators.
+  SimMetrics StartRun();
+  /// This driver's snapshot layout (mode, streams, tenant slices).
+  DriverSnapshot Snapshot() const;
   Status WriteSnapshot(uint64_t processed, const SimMetrics& metrics) const;
   /// The per-query pipeline every path shares, in this exact order so the
   /// paths stay bit-identical: meter rent up to `query.arrival_time`,
@@ -218,40 +346,22 @@ class Simulator {
   /// the external drive can reply to its client.
   ServedQuery ProcessQuery(const Query& query, uint64_t i,
                            SimMetrics* metrics, TenantMetrics* tenant);
-  /// Integrates disk + node-reservation rent (plus rented-cluster-node
-  /// rent, when the scheme operates extra cache nodes) from
-  /// last_meter_time_ to now. Rent is shared-infrastructure spending, so
-  /// it lands only on the run-wide breakdown, never on a tenant slice.
-  void MeterRent(SimTime now, SimMetrics* metrics);
-  /// Prices one query's execution + builds into the breakdown (and into
-  /// the serving tenant's slice, when `tenant` is non-null).
-  void MeterQuery(const Query& query, const ServedQuery& served,
-                  SimTime now, SimMetrics* metrics, TenantMetrics* tenant);
-  /// Charges the sub-micro-dollar rent residue still sitting in
-  /// pending_rent_dollars_ at end of run, rounded UP to a whole
-  /// micro-dollar — the metered breakdown already counted the exact
-  /// fraction, and without this flush final_credit would disagree with
-  /// the operating-cost totals by the unbilled remainder.
-  void FlushResidualRent();
 
-  const Catalog* catalog_;
   Scheme* scheme_;
-  WorkloadGenerator* workload_;  // Single-stream mode (null in multi).
-  std::vector<WorkloadGenerator*> tenant_workloads_;  // Multi-tenant mode.
+  std::vector<WorkloadGenerator*> streams_;
+  /// Multi-tenant constructor: per-tenant metrics slices, regret and
+  /// fairness stamps.
+  bool tenant_slices_ = true;
   SimulatorOptions options_;
   CostModel metered_model_;
-  SimTime last_meter_time_ = 0;
-  /// Rent not yet charged to the account because it rounds below a
-  /// micro-dollar (see MeterRent).
-  double pending_rent_dollars_ = 0;
+  RentMeter rent_;
   /// Restore bookkeeping: the query index to resume at and the metrics
-  /// accumulated by the interrupted run (moved into the live metrics at
-  /// the top of RunChecked).
+  /// accumulated by the interrupted run (adopted by StartRun).
   uint64_t start_index_ = 0;
   bool restored_ = false;
   SimMetrics restored_metrics_;
   /// External-drive accumulators (ExternalBegin/ExternalServe above);
-  /// untouched by the internal drivers.
+  /// untouched by the internal driver.
   uint64_t external_processed_ = 0;
   SimMetrics external_metrics_;
 };

@@ -539,5 +539,49 @@ TEST_F(ServerIntegrationTest, ControlConnectionServesStatsAndShutdown) {
   EXPECT_TRUE(server.Wait().ok());
 }
 
+TEST_F(ServerIntegrationTest, ShutdownIsRequestedBeforeItsAckArrives) {
+  // Regression: the ack used to be written before the drain was flagged,
+  // so a client that had read it could still see ShutdownRequested() ==
+  // false. Each round is a fresh server, to hit the window on any
+  // scheduling. Servers are torn down in batches: a drained server's
+  // accept loop takes up to one poll interval to notice, and batching
+  // lets those intervals overlap.
+  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  constexpr int kRounds = 200;
+  constexpr size_t kBatch = 25;
+  std::vector<std::unique_ptr<CloudCachedServer>> drained;
+  int late = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ServerOptions options;
+    options.port = 0;
+    drained.push_back(std::make_unique<CloudCachedServer>(
+        catalog_, templates_, &config, options));
+    CloudCachedServer& server = *drained.back();
+    ASSERT_TRUE(server.Start().ok());
+    Socket conn;
+    HelloReply hello;
+    ASSERT_TRUE(DoHello(&conn, server.port(), kControlStream,
+                        server.config_hash(), &hello)
+                    .ok());
+    ASSERT_TRUE(hello.acked);
+
+    persist::Encoder enc;
+    EncodeShutdown(&enc);
+    ASSERT_TRUE(WriteFrame(conn, enc).ok());
+    std::vector<uint8_t> payload;
+    bool clean_eof = false;
+    ASSERT_TRUE(ReadFrame(conn, &payload, &clean_eof).ok());
+    ASSERT_FALSE(clean_eof);
+    persist::Decoder dec(payload.data(), payload.size());
+    MessageType type = MessageType::kShutdownAck;
+    ASSERT_TRUE(PeekType(&dec, &type).ok());
+    ASSERT_EQ(type, MessageType::kShutdownAck);
+    if (!server.ShutdownRequested()) ++late;
+    if (drained.size() == kBatch) drained.clear();
+  }
+  EXPECT_EQ(late, 0) << late << " of " << kRounds
+                     << " acks arrived before the drain was flagged";
+}
+
 }  // namespace
 }  // namespace cloudcache::server

@@ -40,7 +40,7 @@ TEST(UnitsTest, BytesToGB) {
 }
 
 TEST(UnitsTest, TransferTimeSanity) {
-  // A 120 GB column at 25 Mbps: the ~11 simulated hours DESIGN.md cites.
+  // A 120 GB column at 25 Mbps takes ~11 simulated hours to build.
   const double seconds = 120e9 / MbpsToBytesPerSec(25.0);
   EXPECT_NEAR(seconds / kHour, 10.7, 0.3);
 }

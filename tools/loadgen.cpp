@@ -31,6 +31,7 @@
 #include "src/server/protocol.h"
 #include "src/server/socket_io.h"
 #include "src/sim/experiment.h"
+#include "src/sim/merge.h"
 #include "src/util/status.h"
 #include "tools/experiment_flags.h"
 
@@ -401,15 +402,12 @@ int main(int argc, char** argv) {
 
   // Rebuild the per-stream generators, fast-forward them to the server's
   // positions, and pre-draw each stream's share of the next K merged
-  // queries (earliest arrival first, ties to the lowest stream — the
-  // simulator's merge rule, so K counts queries in served order).
-  std::vector<std::unique_ptr<WorkloadGenerator>> generators;
-  generators.reserve(streams);
+  // queries in MergeHead order (the simulator's merge rule, so K counts
+  // queries in served order).
+  std::vector<std::unique_ptr<WorkloadGenerator>> generators =
+      MakeExperimentStreams(catalog, *resolved, config);
   uint64_t already = 0;
   for (uint32_t t = 0; t < streams; ++t) {
-    generators.push_back(std::make_unique<WorkloadGenerator>(
-        &catalog, *resolved,
-        TenantWorkloadOptions(config.workload, config.tenancy, t)));
     for (uint64_t i = 0; i < acks[t].next_query_id; ++i) {
       generators[t]->Next();
     }
@@ -421,13 +419,9 @@ int main(int argc, char** argv) {
       args.count == 0 ? remaining : std::min(args.count, remaining);
   std::vector<std::vector<Query>> plans(streams);
   for (uint64_t i = 0; i < to_send; ++i) {
-    uint32_t head = 0;
-    for (uint32_t u = 1; u < streams; ++u) {
-      if (generators[u]->PeekNextArrival() <
-          generators[head]->PeekNextArrival()) {
-        head = u;
-      }
-    }
+    const size_t head = MergeHead(streams, [&generators](size_t u) {
+      return generators[u]->PeekNextArrival();
+    });
     plans[head].push_back(generators[head]->Next());
   }
 
