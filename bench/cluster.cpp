@@ -17,29 +17,28 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "src/sim/experiment.h"
+#include "tools/experiment_flags.h"
 
 namespace {
 
-using cloudcache::ClusterOptions;
 using cloudcache::ExperimentConfig;
 using cloudcache::RunExperiment;
 using cloudcache::SchemeKind;
 using cloudcache::SchemeKindToString;
 using cloudcache::SimMetrics;
-using cloudcache::bench::BenchOptions;
-using cloudcache::bench::MakePaperSetup;
-using cloudcache::bench::PaperConfig;
+using cloudcache::tools::FlagParse;
+using cloudcache::tools::NumericFlag;
 
 struct ClusterBenchOptions {
-  BenchOptions bench;
+  /// The experiment surface the CLI shares; only --queries, --scale-tb
+  /// and --seed are settable here.
+  cloudcache::tools::ExperimentFlags exp;
   std::string json_path = "BENCH_cluster.json";
   bool smoke = false;
   /// Workers for the windowed parallel driver; 0 = classic serial driver
@@ -49,31 +48,21 @@ struct ClusterBenchOptions {
   uint32_t threads = 0;
 };
 
-bool ConsumeFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-ClusterBenchOptions ParseClusterArgs(int argc, char** argv) {
+std::optional<ClusterBenchOptions> ParseClusterArgs(int argc, char** argv) {
   ClusterBenchOptions options;
-  options.bench.queries = 20'000;
+  options.exp.queries = 20'000;
   for (int i = 1; i < argc; ++i) {
+    const FlagParse numeric = cloudcache::tools::FirstMatch({
+        NumericFlag(argv[i], "--queries", &options.exp.queries),
+        NumericFlag(argv[i], "--scale-tb", &options.exp.scale_tb),
+        NumericFlag(argv[i], "--seed", &options.exp.seed),
+        NumericFlag(argv[i], "--threads", &options.threads),
+    });
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string value;
-    if (ConsumeFlag(argv[i], "--queries", &value)) {
-      options.bench.queries = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ConsumeFlag(argv[i], "--scale-tb", &value)) {
-      options.bench.scale_tb = std::strtod(value.c_str(), nullptr);
-    } else if (ConsumeFlag(argv[i], "--seed", &value)) {
-      options.bench.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ConsumeFlag(argv[i], "--json", &value)) {
+    if (cloudcache::tools::FlagValue(argv[i], "--json", &value)) {
       options.json_path = value;
-    } else if (ConsumeFlag(argv[i], "--threads", &value)) {
-      options.threads =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       options.smoke = true;
     } else {
@@ -81,11 +70,11 @@ ClusterBenchOptions ParseClusterArgs(int argc, char** argv) {
                    "usage: %s [--queries=N] [--scale-tb=X] [--seed=N] "
                    "[--json=PATH] [--threads=N] [--smoke]\n",
                    argv[0]);
-      std::exit(2);
+      return std::nullopt;
     }
   }
   if (options.smoke) {
-    options.bench.queries = std::min<uint64_t>(options.bench.queries, 2'000);
+    options.exp.queries = std::min<uint64_t>(options.exp.queries, 2'000);
   }
   return options;
 }
@@ -114,8 +103,22 @@ struct CellResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ClusterBenchOptions options = ParseClusterArgs(argc, argv);
-  const auto setup = MakePaperSetup(options.bench);
+  const std::optional<ClusterBenchOptions> parsed =
+      ParseClusterArgs(argc, argv);
+  if (!parsed) return 2;
+  ClusterBenchOptions options = *parsed;
+  // The 1 s interarrival loads the economy enough that multi-node fleets
+  // have structures worth routing to.
+  options.exp.interarrival = 1.0;
+  cloudcache::Catalog catalog;
+  std::vector<cloudcache::QueryTemplate> templates;
+  const cloudcache::Status made =
+      cloudcache::tools::MakeExperimentCatalog(options.exp, &catalog,
+                                               &templates);
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s\n", made.ToString().c_str());
+    return 2;
+  }
 
 #ifndef NDEBUG
   std::fprintf(stderr,
@@ -123,13 +126,12 @@ int main(int argc, char** argv) {
                "for regression-grade numbers\n");
 #endif
   std::fprintf(stderr, "cluster: %llu queries/cell, %.1f TB\n",
-               static_cast<unsigned long long>(options.bench.queries),
-               options.bench.scale_tb);
+               static_cast<unsigned long long>(options.exp.queries),
+               options.exp.scale_tb);
 
   // Fixed fleets show cost-aware placement at width; the elastic cell
-  // shows the controller buying width only when regret pays for it. The
-  // 1 s interarrival loads the economy enough that multi-node fleets
-  // have structures worth routing to.
+  // shows the controller buying width only when regret pays for it
+  // (up to the default --max-nodes ceiling of 4).
   const std::vector<FleetVariant> fleets = {
       {"n1", 1, false},
       {"n2", 2, false},
@@ -142,17 +144,19 @@ int main(int argc, char** argv) {
   std::vector<CellResult> cells;
   for (const FleetVariant& fleet : fleets) {
     for (SchemeKind scheme : schemes) {
-      ExperimentConfig config = PaperConfig(options.bench, 1.0);
+      ExperimentConfig config =
+          cloudcache::tools::MakeExperimentFlagsConfig(options.exp).value();
       config.scheme = scheme;
+      // The scheme stream the committed baselines were recorded with.
+      config.seed = options.exp.seed + 1;
       config.cluster.nodes = fleet.nodes;
       config.cluster.elastic = fleet.elastic;
-      config.cluster.elasticity.max_nodes = 4;
       config.sim.parallel_threads = options.threads;
       if (options.threads > 0) config.cluster.force_cluster_path = true;
 
       const auto start = std::chrono::steady_clock::now();
       const SimMetrics metrics =
-          RunExperiment(setup.catalog, setup.templates, config);
+          RunExperiment(catalog, templates, config);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -205,9 +209,9 @@ int main(int argc, char** argv) {
                "  \"seed\": %llu,\n"
                "  \"plan_cache\": true,\n"
                "  \"cells\": [\n",
-               static_cast<unsigned long long>(options.bench.queries),
-               options.bench.scale_tb,
-               static_cast<unsigned long long>(options.bench.seed));
+               static_cast<unsigned long long>(options.exp.queries),
+               options.exp.scale_tb,
+               static_cast<unsigned long long>(options.exp.seed));
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     std::fprintf(json,

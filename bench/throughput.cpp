@@ -4,8 +4,8 @@
 // single thread, wall-clock-times each cell, and reports simulated
 // queries/sec per scheme — the constant-factor speed of the full
 // enumerate -> price -> skyline -> regret -> invest decision loop, which is
-// what sweep wall-clock is made of. Unlike the micro_* benches this driver
-// needs no Google Benchmark, so it builds everywhere and can run in CI.
+// what sweep wall-clock is made of. It needs no Google Benchmark, so it
+// builds everywhere and runs in CI.
 //
 // Results are also written as JSON (default BENCH_hotpath.json) so
 // successive PRs accumulate a perf trajectory:
@@ -16,16 +16,17 @@
 // --no-plan-cache measures the same grid with the enumerator's
 // plan-skeleton cache disabled, to quantify what the cache buys.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "src/sim/experiment.h"
+#include "tools/experiment_flags.h"
 
 namespace {
 
@@ -36,41 +37,33 @@ using cloudcache::RunExperiment;
 using cloudcache::SchemeKind;
 using cloudcache::SchemeKindToString;
 using cloudcache::SimMetrics;
-using cloudcache::bench::BenchOptions;
-using cloudcache::bench::MakePaperSetup;
-using cloudcache::bench::PaperConfig;
+using cloudcache::tools::FlagParse;
+using cloudcache::tools::NumericFlag;
 
 struct ThroughputOptions {
-  BenchOptions bench;
+  /// The experiment surface the CLI shares; only --queries, --scale-tb,
+  /// --seed and --no-plan-cache are settable here.
+  cloudcache::tools::ExperimentFlags exp;
   std::string json_path = "BENCH_hotpath.json";
-  bool plan_cache = true;
   bool smoke = false;
 };
 
-bool ConsumeFlag(const char* arg, const char* name, std::string* value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-ThroughputOptions ParseThroughputArgs(int argc, char** argv) {
+std::optional<ThroughputOptions> ParseThroughputArgs(int argc, char** argv) {
   ThroughputOptions options;
-  options.bench.queries = 20'000;
+  options.exp.queries = 20'000;
   for (int i = 1; i < argc; ++i) {
+    const FlagParse numeric = cloudcache::tools::FirstMatch({
+        NumericFlag(argv[i], "--queries", &options.exp.queries),
+        NumericFlag(argv[i], "--scale-tb", &options.exp.scale_tb),
+        NumericFlag(argv[i], "--seed", &options.exp.seed),
+    });
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string value;
-    if (ConsumeFlag(argv[i], "--queries", &value)) {
-      options.bench.queries = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ConsumeFlag(argv[i], "--scale-tb", &value)) {
-      options.bench.scale_tb = std::strtod(value.c_str(), nullptr);
-    } else if (ConsumeFlag(argv[i], "--seed", &value)) {
-      options.bench.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ConsumeFlag(argv[i], "--json", &value)) {
+    if (cloudcache::tools::FlagValue(argv[i], "--json", &value)) {
       options.json_path = value;
     } else if (std::strcmp(argv[i], "--no-plan-cache") == 0) {
-      options.plan_cache = false;
+      options.exp.plan_cache = false;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       options.smoke = true;
     } else {
@@ -78,11 +71,11 @@ ThroughputOptions ParseThroughputArgs(int argc, char** argv) {
                    "usage: %s [--queries=N] [--scale-tb=X] [--seed=N] "
                    "[--json=PATH] [--no-plan-cache] [--smoke]\n",
                    argv[0]);
-      std::exit(2);
+      return std::nullopt;
     }
   }
   if (options.smoke) {
-    options.bench.queries = std::min<uint64_t>(options.bench.queries, 2'000);
+    options.exp.queries = std::min<uint64_t>(options.exp.queries, 2'000);
   }
   return options;
 }
@@ -103,8 +96,19 @@ struct CellResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ThroughputOptions options = ParseThroughputArgs(argc, argv);
-  const auto setup = MakePaperSetup(options.bench);
+  const std::optional<ThroughputOptions> parsed =
+      ParseThroughputArgs(argc, argv);
+  if (!parsed) return 2;
+  ThroughputOptions options = *parsed;
+  cloudcache::Catalog catalog;
+  std::vector<cloudcache::QueryTemplate> templates;
+  const cloudcache::Status made =
+      cloudcache::tools::MakeExperimentCatalog(options.exp, &catalog,
+                                               &templates);
+  if (!made.ok()) {
+    std::fprintf(stderr, "%s\n", made.ToString().c_str());
+    return 2;
+  }
 
 #ifndef NDEBUG
   std::fprintf(stderr,
@@ -113,28 +117,25 @@ int main(int argc, char** argv) {
 #endif
   std::fprintf(stderr, "throughput: %llu queries/cell, %.1f TB, plan cache "
                "%s\n",
-               static_cast<unsigned long long>(options.bench.queries),
-               options.bench.scale_tb, options.plan_cache ? "on" : "off");
+               static_cast<unsigned long long>(options.exp.queries),
+               options.exp.scale_tb, options.exp.plan_cache ? "on" : "off");
 
   const std::vector<double> intervals = PaperInterarrivals();
   const std::vector<SchemeKind> schemes = PaperSchemes();
 
   std::vector<CellResult> cells;
   for (double interval : intervals) {
+    options.exp.interarrival = interval;
     for (SchemeKind scheme : schemes) {
-      ExperimentConfig config = PaperConfig(options.bench, interval);
+      ExperimentConfig config =
+          cloudcache::tools::MakeExperimentFlagsConfig(options.exp).value();
       config.scheme = scheme;
-      const auto base_customize = config.customize_econ;
-      const bool plan_cache = options.plan_cache;
-      config.customize_econ = [base_customize,
-                               plan_cache](cloudcache::EconScheme::Config& c) {
-        if (base_customize) base_customize(c);
-        c.enumerator.enable_plan_cache = plan_cache;
-      };
+      // The scheme stream the committed baselines were recorded with.
+      config.seed = options.exp.seed + 1;
 
       const auto start = std::chrono::steady_clock::now();
       const SimMetrics metrics =
-          RunExperiment(setup.catalog, setup.templates, config);
+          RunExperiment(catalog, templates, config);
       const double seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -192,10 +193,10 @@ int main(int argc, char** argv) {
                "  \"seed\": %llu,\n"
                "  \"plan_cache\": %s,\n"
                "  \"cells\": [\n",
-               static_cast<unsigned long long>(options.bench.queries),
-               options.bench.scale_tb,
-               static_cast<unsigned long long>(options.bench.seed),
-               options.plan_cache ? "true" : "false");
+               static_cast<unsigned long long>(options.exp.queries),
+               options.exp.scale_tb,
+               static_cast<unsigned long long>(options.exp.seed),
+               options.exp.plan_cache ? "true" : "false");
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     std::fprintf(json,

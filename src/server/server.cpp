@@ -3,6 +3,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -28,6 +31,41 @@ void SendError(const Socket& conn, ErrorCode code,
   EncodeError(msg, &enc);
   const Status ignored = WriteFrame(conn, enc);
   (void)ignored;
+}
+
+/// How often the accept loops and the metrics read re-check the drain flag.
+constexpr int64_t kStopPollMs = 200;
+
+/// How long the metrics endpoint waits for a client's request head.
+constexpr int64_t kMetricsRequestDeadlineMs = 1000;
+
+/// Reads an HTTP request head from `fd` until the blank line, EOF, or
+/// 8 KiB. False when the deadline or a drain cut the read short: the
+/// endpoint answers one client at a time, so a silent one must not hold
+/// the next scrape, or shutdown, past kMetricsRequestDeadlineMs.
+bool ReadRequestHead(int fd, const std::atomic<bool>& stop,
+                     std::string* request) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kMetricsRequestDeadlineMs);
+  char buf[1024];
+  while (request->find("\r\n\r\n") == std::string::npos &&
+         request->size() < 8192) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0 || stop.load()) return false;
+    pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    // Short slices, so a drain is noticed as fast as in the accept loop.
+    const int slice = static_cast<int>(std::min<int64_t>(left, kStopPollMs));
+    if (::poll(&pfd, 1, slice) <= 0) continue;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;  // EOF or error: answer what arrived.
+    request->append(buf, static_cast<size_t>(n));
+  }
+  return true;
 }
 
 }  // namespace
@@ -220,7 +258,7 @@ void CloudCachedServer::AcceptLoop() {
     pfd.fd = listener_.fd();
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    const int ready = ::poll(&pfd, 1, kStopPollMs);
     if (stop_.load()) break;
     if (ready <= 0) continue;
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
@@ -643,7 +681,7 @@ void CloudCachedServer::MetricsLoop() {
     pfd.fd = metrics_listener_.fd();
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    const int ready = ::poll(&pfd, 1, kStopPollMs);
     if (stop_.load()) break;
     if (ready <= 0) continue;
     const int fd = ::accept(metrics_listener_.fd(), nullptr, nullptr);
@@ -652,17 +690,15 @@ void CloudCachedServer::MetricsLoop() {
     // One-shot HTTP/1.0 exchange: read the request head, answer, close.
     // Only the request line matters; headers are skipped.
     std::string request;
-    char buf[1024];
-    while (request.find("\r\n\r\n") == std::string::npos &&
-           request.size() < 8192) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      request.append(buf, static_cast<size_t>(n));
-    }
+    const bool received = ReadRequestHead(fd, stop_, &request);
+    if (stop_.load()) break;
     std::string status_line = "200 OK";
     std::string body;
     std::string content_type = "text/plain; charset=utf-8";
-    if (request.rfind("GET ", 0) != 0) {
+    if (!received) {
+      status_line = "408 Request Timeout";
+      body = "no request head within the deadline\n";
+    } else if (request.rfind("GET ", 0) != 0) {
       status_line = "405 Method Not Allowed";
       body = "only GET is served\n";
     } else {

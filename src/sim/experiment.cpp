@@ -331,7 +331,6 @@ std::vector<SimMetrics> RunAllSchemes(
   spec.interarrivals = {config.workload.interarrival_seconds};
   // The caller's seeds apply verbatim to every scheme: all four contenders
   // face the identical query stream, as in the paper's paired comparison.
-  spec.seed_policy = SweepSpec::SeedPolicy::kFixed;
   spec.base = std::move(config);
 
   std::vector<SweepResult> sweep =

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/util/logging.h"
-#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 namespace cloudcache {
@@ -25,10 +24,6 @@ std::string CellLabel(const SweepSpec& spec, const SweepCell& cell) {
 
 }  // namespace
 
-uint64_t SweepCellSeed(uint64_t base_seed, uint64_t cell_index) {
-  return MixSeed(base_seed, cell_index);
-}
-
 std::vector<SweepCell> EnumerateSweepCells(const SweepSpec& spec) {
   CLOUDCACHE_CHECK(!spec.schemes.empty());
   CLOUDCACHE_CHECK(!spec.interarrivals.empty());
@@ -45,18 +40,6 @@ std::vector<SweepCell> EnumerateSweepCells(const SweepSpec& spec) {
         cell.variant_index = v;
         cell.scheme = spec.schemes[s];
         cell.interarrival_seconds = spec.interarrivals[i];
-        switch (spec.seed_policy) {
-          case SweepSpec::SeedPolicy::kPerCell:
-            cell.seed = SweepCellSeed(spec.base_seed, cell.index);
-            break;
-          case SweepSpec::SeedPolicy::kPerRow:
-            cell.seed = SweepCellSeed(spec.base_seed,
-                                      v * spec.interarrivals.size() + i);
-            break;
-          case SweepSpec::SeedPolicy::kFixed:
-            cell.seed = spec.base.workload.seed;
-            break;
-        }
         cell.label = CellLabel(spec, cell);
         cells.push_back(std::move(cell));
       }
@@ -70,10 +53,6 @@ ExperimentConfig MakeCellConfig(const SweepSpec& spec,
   ExperimentConfig config = spec.base;
   config.scheme = cell.scheme;
   config.workload.interarrival_seconds = cell.interarrival_seconds;
-  if (spec.seed_policy != SweepSpec::SeedPolicy::kFixed) {
-    config.workload.seed = cell.seed;
-    config.seed = cell.seed + 1;  // Scheme stream, as in bench PaperConfig.
-  }
   const SweepVariant& variant = spec.variants[cell.variant_index];
   if (variant.customize) variant.customize(config);
   return config;
@@ -121,21 +100,6 @@ std::vector<SweepResult> RunSweep(
     results.push_back({cells[i], futures[i].get()});
   }
   return results;
-}
-
-void LogCellDone(const SweepCell& cell, const SimMetrics&) {
-  std::fprintf(stderr, "  [done] %s\n", cell.label.c_str());
-}
-
-std::vector<std::vector<SimMetrics>> GroupRowsByInterarrival(
-    std::vector<SweepResult> results, size_t num_interarrivals) {
-  std::vector<std::vector<SimMetrics>> rows(num_interarrivals);
-  for (SweepResult& result : results) {
-    CLOUDCACHE_CHECK(result.cell.interarrival_index < num_interarrivals);
-    rows[result.cell.interarrival_index].push_back(
-        std::move(result.metrics));
-  }
-  return rows;
 }
 
 }  // namespace cloudcache

@@ -12,9 +12,9 @@
 namespace cloudcache {
 
 /// One point on a sweep's ablation axis: a label for reports plus a
-/// mutation applied to the cell's ExperimentConfig after the scheme,
-/// inter-arrival, and seeds are set — so a variant can override anything,
-/// including the seeds a SeedPolicy chose.
+/// mutation applied to the cell's ExperimentConfig after the scheme and
+/// inter-arrival are set — so a variant can override anything, including
+/// the seeds.
 struct SweepVariant {
   std::string label;
   std::function<void(ExperimentConfig&)> customize;  // May be null.
@@ -27,7 +27,7 @@ struct SweepVariant {
 ///   index = (variant * |interarrivals| + interarrival) * |schemes| + scheme
 ///
 /// so `RunSweep(...)[v*I*S + i*S + j]` is scheme j at interval i of variant
-/// v — the rows[i][j] layout the figure benches print.
+/// v — the rows[i][j] layout the figure grids print.
 struct SweepSpec {
   std::vector<SchemeKind> schemes = PaperSchemes();
   std::vector<double> interarrivals = PaperInterarrivals();
@@ -36,24 +36,10 @@ struct SweepSpec {
   std::vector<SweepVariant> variants = {SweepVariant{}};
 
   /// Stamped into every cell before the per-cell fields are overwritten.
+  /// Its seeds apply to every cell unchanged, so all cells of a variant
+  /// face the identical query stream; a variant that wants another stream
+  /// sets the seeds itself.
   ExperimentConfig base;
-
-  /// How each cell's workload/scheme seeds are derived. Every policy is a
-  /// pure function of the spec, so sweep results are bit-identical
-  /// regardless of thread count or completion order.
-  enum class SeedPolicy {
-    /// seed = hash(base_seed, cell index): every cell is an independent
-    /// stream — the right default for parameter studies.
-    kPerCell,
-    /// seed = hash(base_seed, variant & interarrival index): all schemes in
-    /// one row see the same query stream, keeping scheme comparisons
-    /// paired as in the paper's figures.
-    kPerRow,
-    /// Keep whatever seeds `base` (and the variant customizer) carry.
-    kFixed,
-  };
-  SeedPolicy seed_policy = SeedPolicy::kPerCell;
-  uint64_t base_seed = 17;
 
   size_t CellCount() const {
     return schemes.size() * interarrivals.size() * variants.size();
@@ -70,9 +56,6 @@ struct SweepCell {
   double interarrival_seconds = 0;
   /// "econ-cheap @ 10s" (+ " [variant]" when the variant is labeled).
   std::string label;
-  /// Workload seed this cell ran with (scheme seed is this + 1 unless the
-  /// policy is kFixed or a variant overrode it).
-  uint64_t seed = 0;
 };
 
 struct SweepResult {
@@ -80,16 +63,12 @@ struct SweepResult {
   SimMetrics metrics;
 };
 
-/// splitmix64 mix of (base_seed, cell_index): deterministic, and far
-/// apart for adjacent indices so per-cell streams do not correlate.
-uint64_t SweepCellSeed(uint64_t base_seed, uint64_t cell_index);
-
-/// The grid a spec describes, in grid order, with labels and seeds
-/// resolved (no simulation). Exposed for tests and progress displays.
+/// The grid a spec describes, in grid order, with labels resolved (no
+/// simulation). Exposed for tests and progress displays.
 std::vector<SweepCell> EnumerateSweepCells(const SweepSpec& spec);
 
 /// Builds the ExperimentConfig a given cell runs: base, then scheme /
-/// interarrival / seeds, then the variant customizer.
+/// interarrival, then the variant customizer.
 ExperimentConfig MakeCellConfig(const SweepSpec& spec, const SweepCell& cell);
 
 /// Runs every cell of the grid, fanning RunExperiment out over a
@@ -103,15 +82,5 @@ std::vector<SweepResult> RunSweep(
     const SweepSpec& spec, unsigned n_threads,
     const std::function<void(const SweepCell&, const SimMetrics&)>& progress =
         nullptr);
-
-/// Progress callback printing "  [done] <label>" to stderr; safe to call
-/// from sweep workers (one fprintf call stays atomic).
-void LogCellDone(const SweepCell& cell, const SimMetrics& metrics);
-
-/// Regroups grid-order results of a single-variant sweep into
-/// rows[i][j] = metrics of scheme j at interarrival i — the layout the
-/// figure tables consume.
-std::vector<std::vector<SimMetrics>> GroupRowsByInterarrival(
-    std::vector<SweepResult> results, size_t num_interarrivals);
 
 }  // namespace cloudcache

@@ -17,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -581,6 +585,87 @@ TEST_F(ServerIntegrationTest, ShutdownIsRequestedBeforeItsAckArrives) {
   }
   EXPECT_EQ(late, 0) << late << " of " << kRounds
                      << " acks arrived before the drain was flagged";
+}
+
+/// Bounds every recv on `conn`, so a wedged endpoint fails a test
+/// instead of hanging it.
+void SetReadTimeout(const Socket& conn, std::chrono::seconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count());
+  ::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// One HTTP/1.0 GET against the metrics port; an empty reply when nothing
+/// arrives within `timeout`.
+std::string ScrapeMetrics(uint16_t port, std::chrono::seconds timeout) {
+  Result<Socket> connected = ConnectTcp("127.0.0.1", port);
+  if (!connected.ok()) return "";
+  const Socket conn = std::move(connected).value();
+  SetReadTimeout(conn, timeout);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  if (!WriteAll(conn, reinterpret_cast<const uint8_t*>(request.data()),
+                request.size())
+           .ok()) {
+    return "";
+  }
+  std::string reply;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(conn.fd(), buf, sizeof(buf), 0)) > 0) {
+    reply.append(buf, static_cast<size_t>(n));
+  }
+  return reply;
+}
+
+TEST_F(ServerIntegrationTest, IdleMetricsConnectionDoesNotBlockScrapes) {
+  // Regression: the endpoint read each request head with a blocking recv
+  // on its only thread, so one idle connection starved every scrape.
+  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  options.metrics_port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<Socket> idle = ConnectTcp("127.0.0.1", server.metrics_port());
+  ASSERT_TRUE(idle.ok());
+  SetReadTimeout(idle.value(), std::chrono::seconds(2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string reply =
+      ScrapeMetrics(server.metrics_port(), std::chrono::seconds(5));
+  EXPECT_EQ(reply.rfind("HTTP/1.0 200 OK", 0), 0u) << reply;
+  EXPECT_NE(reply.find("cloudcache_server_processed_total"),
+            std::string::npos);
+
+  // The idle client was answered and dropped, not served forever.
+  char byte = 0;
+  EXPECT_GT(::recv(idle.value().fd(), &byte, 1, 0), 0);
+  idle.value().Close();
+  server.RequestShutdown();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerIntegrationTest, IdleMetricsConnectionDoesNotBlockShutdown) {
+  // Regression: Wait() joins the metrics thread, which sat in a blocking
+  // recv on the idle connection until the client went away.
+  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  options.metrics_port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<Socket> idle = ConnectTcp("127.0.0.1", server.metrics_port());
+  ASSERT_TRUE(idle.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  server.RequestShutdown();
+  std::future<Status> waited =
+      std::async(std::launch::async, [&server] { return server.Wait(); });
+  const bool prompt = waited.wait_for(std::chrono::seconds(3)) ==
+                      std::future_status::ready;
+  idle.value().Close();  // Frees a wedged server so the test can finish.
+  EXPECT_TRUE(prompt) << "Wait() blocked on an idle metrics connection";
+  EXPECT_TRUE(waited.get().ok());
 }
 
 }  // namespace

@@ -16,18 +16,6 @@ namespace {
 
 // --- Grid-enumeration unit tests (no simulation). -------------------------
 
-TEST(SweepCellSeedTest, DeterministicAndWellSeparated) {
-  EXPECT_EQ(SweepCellSeed(17, 0), SweepCellSeed(17, 0));
-  std::set<uint64_t> seeds;
-  for (uint64_t base : {0ull, 17ull, 12345678901234ull}) {
-    for (uint64_t cell = 0; cell < 64; ++cell) {
-      seeds.insert(SweepCellSeed(base, cell));
-    }
-  }
-  EXPECT_EQ(seeds.size(), 3u * 64u);  // No collisions across bases/cells.
-  EXPECT_NE(SweepCellSeed(17, 0), 17u);  // Cell 0 is not the raw base seed.
-}
-
 TEST(SweepSpecTest, EnumeratesFigureGridInRowMajorOrder) {
   SweepSpec spec;  // Defaults: paper schemes x paper interarrivals.
   EXPECT_EQ(spec.CellCount(), 16u);
@@ -71,40 +59,46 @@ TEST(SweepSpecTest, VariantAxisLabelsAndCustomizesCells) {
   EXPECT_DOUBLE_EQ(econ.economy.regret_fraction_a, 0.10);
 }
 
-TEST(SweepSpecTest, PerRowSeedsPairSchemesOnOneStream) {
-  SweepSpec spec;
-  spec.seed_policy = SweepSpec::SeedPolicy::kPerRow;
-  const std::vector<SweepCell> cells = EnumerateSweepCells(spec);
-  // Within a row (fixed interarrival) every scheme sees the same seed;
-  // across rows the seeds differ.
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t s = 1; s < 4; ++s) {
-      EXPECT_EQ(cells[i * 4 + s].seed, cells[i * 4].seed);
-    }
-  }
-  EXPECT_NE(cells[0].seed, cells[4].seed);
-}
-
-TEST(SweepSpecTest, PerCellSeedsAreAllDistinct) {
-  SweepSpec spec;
-  const std::vector<SweepCell> cells = EnumerateSweepCells(spec);
-  std::set<uint64_t> seeds;
-  for (const SweepCell& cell : cells) seeds.insert(cell.seed);
-  EXPECT_EQ(seeds.size(), cells.size());
-}
-
 TEST(SweepSpecTest, CellConfigCarriesSchemeIntervalAndSeed) {
   SweepSpec spec;
   spec.base.sim.num_queries = 123;
+  spec.base.workload.seed = 41;
+  spec.base.seed = 43;
   const std::vector<SweepCell> cells = EnumerateSweepCells(spec);
   const SweepCell& cell = cells[7];  // econ-fast @ 10s.
   const ExperimentConfig config = MakeCellConfig(spec, cell);
   EXPECT_EQ(config.scheme, cell.scheme);
   EXPECT_DOUBLE_EQ(config.workload.interarrival_seconds,
                    cell.interarrival_seconds);
-  EXPECT_EQ(config.workload.seed, cell.seed);
-  EXPECT_EQ(config.seed, cell.seed + 1);
+  // The base seeds reach every cell unchanged.
+  EXPECT_EQ(config.workload.seed, 41u);
+  EXPECT_EQ(config.seed, 43u);
   EXPECT_EQ(config.sim.num_queries, 123u);  // Base fields survive.
+}
+
+/// Two variants on distinct query streams: how the bit-identity pins below
+/// give every variant its own workload and scheme seeds.
+std::vector<SweepVariant> SeedVariants(uint64_t first, uint64_t second) {
+  std::vector<SweepVariant> variants;
+  for (uint64_t seed : {first, second}) {
+    variants.push_back({"seed=" + std::to_string(seed),
+                        [seed](ExperimentConfig& config) {
+                          config.workload.seed = seed;
+                          config.seed = seed + 1;
+                        }});
+  }
+  return variants;
+}
+
+TEST(SweepSpecTest, SeedVariantsSetTheirOwnStreams) {
+  SweepSpec spec;
+  spec.variants = SeedVariants(23, 24);
+  const std::vector<SweepCell> cells = EnumerateSweepCells(spec);
+  ASSERT_EQ(cells.size(), 32u);
+  EXPECT_EQ(MakeCellConfig(spec, cells[0]).workload.seed, 23u);
+  EXPECT_EQ(MakeCellConfig(spec, cells[0]).seed, 24u);
+  EXPECT_EQ(MakeCellConfig(spec, cells[16]).workload.seed, 24u);
+  EXPECT_EQ(MakeCellConfig(spec, cells[16]).seed, 25u);
 }
 
 // --- Thread-count invariance on the real Fig. 4 grid. ---------------------
@@ -156,13 +150,13 @@ void ExpectBitIdentical(const SimMetrics& a, const SimMetrics& b) {
 }
 
 /// The Fig. 4 grid (all four schemes x all four paper inter-arrivals) at
-/// CI scale, run serially and with a saturated pool.
+/// CI scale on two query streams, run serially and with a saturated pool.
 TEST(RunSweepTest, Fig4GridBitIdenticalAcrossThreadCounts) {
   const Catalog catalog = MakeTpchCatalog(100.0);
   const std::vector<QueryTemplate> templates = MakeTpchTemplates();
 
   SweepSpec spec;  // Fig. 4 grid is the default scheme/interval product.
-  spec.base_seed = 23;
+  spec.variants = SeedVariants(23, 24);
   spec.base.sim.num_queries = 400;
   spec.base.customize_econ = [](EconScheme::Config& econ) {
     econ.economy.regret_fraction_a = 0.001;
@@ -183,7 +177,6 @@ TEST(RunSweepTest, Fig4GridBitIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].cell.index, i);
     EXPECT_EQ(parallel[i].cell.label, serial[i].cell.label);
-    EXPECT_EQ(parallel[i].cell.seed, serial[i].cell.seed);
     ExpectBitIdentical(parallel[i].metrics, serial[i].metrics);
   }
   // The grid really ran: every scheme served its queries.

@@ -1,9 +1,9 @@
 // cloudcache_sim — command-line front end to the simulator.
 //
 // Runs one scheme against one workload configuration and prints the full
-// metric report, or — with --sweep — the whole paper grid (four schemes x
-// four inter-arrival times) fanned out over a thread pool; the building
-// block for scripted parameter studies beyond the canned bench binaries.
+// metric report, or — with --sweep=<grid> — one of the named experiment
+// grids of src/sim/grids.cpp (the paper's figures, the ablations, the
+// multi-tenant studies) fanned out over a thread pool.
 //
 // Exit codes: 0 = success; 1 = run or restore error; 2 = flag errors;
 // 3 = deliberate crash injection (--crash-after fired; snapshot on disk).
@@ -13,12 +13,12 @@
 //   cloudcache_sim --scheme=bypass --scale-tb=1.0 --arrival=poisson
 //   cloudcache_sim --scheme=econ-fast --catalog=sdss --csv=credit.csv
 //   cloudcache_sim --sweep --queries=40000 --threads=8   (Fig. 4/5 grid)
+//   cloudcache_sim --sweep=amortization --queries=60000  (ablation A2)
 //   cloudcache_sim --tenants=4 --tenant-skew=1.0   (multi-tenant economy)
 //   cloudcache_sim --nodes=2 --elastic=on          (elastic cache cluster)
 //   cloudcache_sim --trace-out=stream.csv --queries=50000   (record only)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -30,6 +30,7 @@
 #include "src/obs/stage_profile.h"
 #include "src/obs/trace.h"
 #include "src/sim/experiment.h"
+#include "src/sim/grids.h"
 #include "src/sim/report.h"
 #include "src/sim/sweep.h"
 #include "src/util/logging.h"
@@ -43,10 +44,11 @@ using namespace cloudcache;
 using tools::ExperimentFlags;
 using tools::FlagParse;
 using tools::FlagValue;
+using tools::NumericFlag;
 
 struct Args {
   ExperimentFlags exp;    // The shared experiment surface.
-  bool sweep = false;     // Run the full scheme x interarrival grid.
+  std::string sweep;      // Named grid to run ("" = single run).
   unsigned threads = 0;   // Sweep workers; 0 = hardware concurrency.
   std::string csv;        // Credit/cost timeline CSV.
   std::string trace_out;  // Record the workload instead of simulating.
@@ -59,12 +61,21 @@ struct Args {
   bool profile_stages = false;    // Decision-loop stage timing table.
 };
 
+std::string GridNames(const std::vector<Grid>& grids) {
+  std::string names;
+  for (const Grid& grid : grids) {
+    names += (names.empty() ? "" : ", ") + grid.name;
+  }
+  return names;
+}
+
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [flags]\n"
       "%s"
-      "  --sweep               run all 4 schemes x 4 paper intervals\n"
+      "  --sweep[=GRID]        run a named grid instead of one run\n"
+      "                        (bare: %s); grids: %s\n"
       "  --threads=N           sweep worker threads (0 = all cores); with\n"
       "                        --checkpoint-path, intra-run workers for\n"
       "                        clustered runs (windowed driver)\n"
@@ -83,7 +94,8 @@ void Usage(const char* argv0) {
       "                        single run, serial driver only\n"
       "  --profile-stages      time the decision-loop stages and print a\n"
       "                        per-stage table to stderr at the end\n",
-      argv0, tools::ExperimentFlagsUsage());
+      argv0, tools::ExperimentFlagsUsage(), kDefaultGrid,
+      GridNames(MakeGrids()).c_str());
 }
 
 std::optional<Args> Parse(int argc, char** argv) {
@@ -92,21 +104,22 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
+    const FlagParse numeric = tools::FirstMatch({
+        NumericFlag(argv[i], "--threads", &args.threads),
+        NumericFlag(argv[i], "--checkpoint-every", &args.checkpoint_every),
+        NumericFlag(argv[i], "--crash-after", &args.crash_after),
+    });
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string v;
-    if (std::strcmp(argv[i], "--sweep") == 0) args.sweep = true;
-    else if (FlagValue(argv[i], "--threads", &v))
-      args.threads =
-          static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
+    if (std::strcmp(argv[i], "--sweep") == 0) args.sweep = kDefaultGrid;
+    else if (FlagValue(argv[i], "--sweep", &v)) args.sweep = v;
     else if (FlagValue(argv[i], "--csv", &v)) args.csv = v;
     else if (FlagValue(argv[i], "--trace-out", &v)) args.trace_out = v;
-    else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint_every = std::stoull(v);
     else if (FlagValue(argv[i], "--checkpoint-path", &v))
       args.checkpoint_path = v;
     else if (std::strcmp(argv[i], "--restore") == 0) args.restore = "hard";
     else if (FlagValue(argv[i], "--restore", &v)) args.restore = v;
-    else if (FlagValue(argv[i], "--crash-after", &v))
-      args.crash_after = std::stoull(v);
     else if (FlagValue(argv[i], "--metrics-json", &v))
       args.metrics_json = v;
     else if (FlagValue(argv[i], "--trace", &v)) args.trace = v;
@@ -139,7 +152,7 @@ Status ValidateArgs(const Args& args) {
         "--checkpoint-every/--restore/--crash-after need a snapshot file; "
         "add --checkpoint-path=PATH");
   }
-  if (!args.checkpoint_path.empty() && args.sweep) {
+  if (!args.checkpoint_path.empty() && !args.sweep.empty()) {
     return Status::InvalidArgument(
         "--sweep runs a grid of cells that would clobber one snapshot "
         "file; checkpoint/restore applies to single runs only");
@@ -149,7 +162,7 @@ Status ValidateArgs(const Args& args) {
         "--trace-out records the workload without simulating, so there is "
         "no economy state to checkpoint or restore");
   }
-  if (!args.metrics_json.empty() && args.sweep) {
+  if (!args.metrics_json.empty() && !args.sweep.empty()) {
     return Status::InvalidArgument(
         "--metrics-json exports one run's metrics; --sweep produces a "
         "grid — run the cells individually");
@@ -160,7 +173,7 @@ Status ValidateArgs(const Args& args) {
         "are no metrics to export");
   }
   if (!args.trace.empty()) {
-    if (args.sweep) {
+    if (!args.sweep.empty()) {
       return Status::InvalidArgument(
           "--trace records one run's events; --sweep runs a grid");
     }
@@ -195,6 +208,20 @@ int main(int argc, char** argv) {
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 2;
+  }
+  // The grid table is built only when a grid runs.
+  std::vector<Grid> grids;
+  const Grid* grid = nullptr;
+  if (!args.sweep.empty()) {
+    grids = MakeGrids();
+    for (const Grid& candidate : grids) {
+      if (candidate.name == args.sweep) grid = &candidate;
+    }
+    if (grid == nullptr) {
+      std::fprintf(stderr, "unknown --sweep grid '%s'; valid grids: %s\n",
+                   args.sweep.c_str(), GridNames(grids).c_str());
+      return 2;
+    }
   }
 
   Catalog catalog;
@@ -252,34 +279,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.sweep) {
-    // The whole paper grid (Figs. 4-5) through the parallel sweep engine.
+  if (grid != nullptr) {
     if (args.exp.scheme_set || args.exp.interarrival_set) {
       std::fprintf(stderr,
-                   "note: --sweep runs all 4 schemes x 4 paper intervals; "
-                   "--scheme/--interarrival are ignored\n");
+                   "note: --sweep sets each cell's scheme and "
+                   "inter-arrival; --scheme/--interarrival are ignored\n");
     }
     if (!args.csv.empty()) {
       std::fprintf(stderr,
                    "note: --csv writes the single-run timeline only; "
                    "ignored under --sweep\n");
     }
-    SweepSpec spec;  // Defaults: paper schemes x paper interarrivals.
-    spec.seed_policy = SweepSpec::SeedPolicy::kFixed;
-    spec.base_seed = args.exp.seed;
-    spec.base = config;
-    const std::vector<std::vector<SimMetrics>> rows =
-        GroupRowsByInterarrival(
-            RunSweep(catalog, templates, spec, args.threads, LogCellDone),
-            spec.interarrivals.size());
-    std::puts("Operating cost (dollars) by inter-arrival time");
     std::fputs(
-        MakeOperatingCostTable(spec.interarrivals, rows).ToAscii().c_str(),
-        stdout);
-    std::puts("");
-    std::puts("Average response time (seconds) by inter-arrival time");
-    std::fputs(
-        MakeResponseTimeTable(spec.interarrivals, rows).ToAscii().c_str(),
+        RunGrid(catalog, templates, *grid, config, args.threads).c_str(),
         stdout);
     if (args.profile_stages) {
       std::fputs(obs::StageProfiler::Instance().FormatTable().c_str(),
@@ -290,7 +302,7 @@ int main(int argc, char** argv) {
 
   SimMetrics metrics;
   if (!args.checkpoint_path.empty()) {
-    // Checkpoint/restore run. A kFixed one-cell sweep leaves the config
+    // Checkpoint/restore run. A one-cell sweep leaves the config
     // untouched, so driving RunExperimentChecked directly is the sweep
     // path bit for bit — plus snapshots, crash injection, and restore.
     config.sim.checkpoint.every = args.checkpoint_every;
@@ -315,8 +327,6 @@ int main(int argc, char** argv) {
     SweepSpec spec;
     spec.schemes = {config.scheme};
     spec.interarrivals = {args.exp.interarrival};
-    spec.seed_policy = SweepSpec::SeedPolicy::kFixed;
-    spec.base_seed = args.exp.seed;
     spec.base = config;
     std::vector<SweepResult> results =
         RunSweep(catalog, templates, spec, /*n_threads=*/1);

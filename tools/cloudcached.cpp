@@ -15,7 +15,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -32,6 +31,7 @@ using namespace cloudcache;
 using tools::ExperimentFlags;
 using tools::FlagParse;
 using tools::FlagValue;
+using tools::NumericFlag;
 
 std::sig_atomic_t g_signal = 0;
 
@@ -78,25 +78,22 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
+    const FlagParse numeric = tools::FirstMatch({
+        NumericFlag(argv[i], "--port", &args.port),
+        NumericFlag(argv[i], "--workers", &args.workers),
+        NumericFlag(argv[i], "--checkpoint-every", &args.checkpoint_every),
+        NumericFlag(argv[i], "--log-every", &args.log_every),
+        NumericFlag(argv[i], "--metrics-port", &args.metrics_port),
+    });
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string v;
     if (FlagValue(argv[i], "--host", &v)) args.host = v;
-    else if (FlagValue(argv[i], "--port", &v))
-      args.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--port-file", &v)) args.port_file = v;
-    else if (FlagValue(argv[i], "--workers", &v))
-      args.workers =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--snapshot-path", &v))
       args.snapshot_path = v;
-    else if (FlagValue(argv[i], "--checkpoint-every", &v))
-      args.checkpoint_every = std::stoull(v);
     else if (std::strcmp(argv[i], "--restore") == 0) args.restore = "hard";
     else if (FlagValue(argv[i], "--restore", &v)) args.restore = v;
-    else if (FlagValue(argv[i], "--log-every", &v))
-      args.log_every = std::stoull(v);
-    else if (FlagValue(argv[i], "--metrics-port", &v))
-      args.metrics_port =
-          static_cast<int32_t>(std::strtol(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--metrics-port-file", &v))
       args.metrics_port_file = v;
     else {

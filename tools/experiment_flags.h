@@ -7,12 +7,15 @@
 // defaults, and the config wiring live here exactly once.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/catalog/sdss.h"
@@ -76,87 +79,113 @@ enum class FlagParse {
               // reported to stderr).
 };
 
+/// Parses all of `text` as a number of type T. Empty input, leading
+/// whitespace or '+', trailing characters, a sign on an unsigned type,
+/// and out-of-range or non-finite values are rejected (false, *out
+/// untouched) — never truncated, wrapped, or thrown.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* const end = text.data() + text.size();
+  T value{};
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value);
+  if (text.empty() || parsed.ec != std::errc() || parsed.ptr != end) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// `<name>=<number>` through ParseNumber: kNotMine when `arg` is another
+/// flag, kError (reported to stderr) when the value does not parse.
+template <typename T>
+FlagParse NumericFlag(const char* arg, const char* name, T* out) {
+  std::string value;
+  if (!FlagValue(arg, name, &value)) return FlagParse::kNotMine;
+  if (ParseNumber(value, out)) return FlagParse::kConsumed;
+  std::fprintf(stderr, "%s wants a number, got '%s'\n", name,
+               value.c_str());
+  return FlagParse::kError;
+}
+
+/// The first verdict that is not kNotMine (each flag name matches at most
+/// one entry), so a parse loop can try a list of NumericFlag calls at once.
+inline FlagParse FirstMatch(std::initializer_list<FlagParse> verdicts) {
+  for (FlagParse verdict : verdicts) {
+    if (verdict != FlagParse::kNotMine) return verdict;
+  }
+  return FlagParse::kNotMine;
+}
+
 /// Tries one argv entry against the shared experiment flags.
 inline FlagParse ParseExperimentFlag(const char* arg,
                                      ExperimentFlags* flags) {
+  if (std::strncmp(arg, "--interarrival=", 15) == 0) {
+    flags->interarrival_set = true;
+  }
+  const FlagParse numeric = FirstMatch({
+      NumericFlag(arg, "--scale-tb", &flags->scale_tb),
+      NumericFlag(arg, "--queries", &flags->queries),
+      NumericFlag(arg, "--interarrival", &flags->interarrival),
+      NumericFlag(arg, "--skew", &flags->skew),
+      NumericFlag(arg, "--repeat", &flags->repeat),
+      NumericFlag(arg, "--seed", &flags->seed),
+      NumericFlag(arg, "--regret-a", &flags->regret_a),
+      NumericFlag(arg, "--horizon", &flags->horizon),
+      NumericFlag(arg, "--credit", &flags->initial_credit),
+      NumericFlag(arg, "--tenants", &flags->tenants),
+      NumericFlag(arg, "--tenant-skew", &flags->tenant_skew),
+      NumericFlag(arg, "--admission-ratio", &flags->admission_ratio),
+      NumericFlag(arg, "--nodes", &flags->nodes),
+      NumericFlag(arg, "--node-rent-multiplier",
+                  &flags->node_rent_multiplier),
+      NumericFlag(arg, "--max-nodes", &flags->max_nodes),
+  });
+  if (numeric != FlagParse::kNotMine) return numeric;
+
   std::string v;
   if (FlagValue(arg, "--scheme", &v)) {
     flags->scheme = v;
     flags->scheme_set = true;
   } else if (FlagValue(arg, "--catalog", &v)) {
     flags->catalog = v;
-  } else if (FlagValue(arg, "--scale-tb", &v)) {
-    flags->scale_tb = std::stod(v);
-  } else if (FlagValue(arg, "--queries", &v)) {
-    flags->queries = std::stoull(v);
-  } else if (FlagValue(arg, "--interarrival", &v)) {
-    flags->interarrival = std::stod(v);
-    flags->interarrival_set = true;
   } else if (FlagValue(arg, "--arrival", &v)) {
     flags->arrival = v;
-  } else if (FlagValue(arg, "--skew", &v)) {
-    flags->skew = std::stod(v);
-  } else if (FlagValue(arg, "--repeat", &v)) {
-    flags->repeat = std::stod(v);
-  } else if (FlagValue(arg, "--seed", &v)) {
-    flags->seed = std::stoull(v);
-  } else if (FlagValue(arg, "--regret-a", &v)) {
-    flags->regret_a = std::stod(v);
-  } else if (FlagValue(arg, "--horizon", &v)) {
-    flags->horizon = std::stoll(v);
-  } else if (FlagValue(arg, "--credit", &v)) {
-    flags->initial_credit = std::stod(v);
   } else if (std::strcmp(arg, "--build-latency") == 0) {
     flags->build_latency = true;
   } else if (std::strcmp(arg, "--no-plan-cache") == 0) {
     flags->plan_cache = false;
-  } else if (FlagValue(arg, "--tenants", &v)) {
-    flags->tenants =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  } else if (FlagValue(arg, "--tenant-skew", &v)) {
-    flags->tenant_skew = std::stod(v);
   } else if (std::strcmp(arg, "--fair-eviction") == 0) {
     flags->fair_eviction = true;
   } else if (std::strcmp(arg, "--admission") == 0) {
     flags->admission = true;
-  } else if (FlagValue(arg, "--admission-ratio", &v)) {
-    flags->admission_ratio = std::stod(v);
   } else if (FlagValue(arg, "--tenant-budget", &v)) {
     // T:P[:M] — tenant index, price-multiplier scale, optional tmax
     // scale. Every field is validated: a stray non-numeric tenant must
     // not silently squeeze tenant 0.
-    const auto reject = [] {
+    TenantBudgetShape shape;
+    const size_t first = v.find(':');
+    const size_t second =
+        first == std::string::npos ? first : v.find(':', first + 1);
+    const bool parsed =
+        first != std::string::npos &&
+        ParseNumber(v.substr(0, first), &shape.tenant) &&
+        ParseNumber(v.substr(first + 1, second == std::string::npos
+                                             ? std::string::npos
+                                             : second - first - 1),
+                    &shape.price_scale) &&
+        (second == std::string::npos ||
+         ParseNumber(v.substr(second + 1), &shape.tmax_scale));
+    if (!parsed) {
       std::fprintf(stderr,
                    "--tenant-budget wants <tenant>:<price>[:<tmax>] "
                    "(numeric fields)\n");
       return FlagParse::kError;
-    };
-    TenantBudgetShape shape;
-    const size_t first = v.find(':');
-    if (first == std::string::npos || first == 0) return reject();
-    const std::string tenant_field = v.substr(0, first);
-    char* end = nullptr;
-    const unsigned long tenant = std::strtoul(tenant_field.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return reject();
-    shape.tenant = static_cast<uint32_t>(tenant);
-    const size_t second = v.find(':', first + 1);
-    const std::string price_field =
-        v.substr(first + 1, second == std::string::npos
-                                ? std::string::npos
-                                : second - first - 1);
-    if (price_field.empty()) return reject();
-    shape.price_scale = std::strtod(price_field.c_str(), &end);
-    if (end == nullptr || *end != '\0') return reject();
-    if (second != std::string::npos) {
-      const std::string tmax_field = v.substr(second + 1);
-      if (tmax_field.empty()) return reject();
-      shape.tmax_scale = std::strtod(tmax_field.c_str(), &end);
-      if (end == nullptr || *end != '\0') return reject();
     }
     flags->tenant_budgets.push_back(shape);
-  } else if (FlagValue(arg, "--nodes", &v)) {
-    flags->nodes =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
   } else if (FlagValue(arg, "--elastic", &v)) {
     if (v == "on") {
       flags->elastic = true;
@@ -166,11 +195,6 @@ inline FlagParse ParseExperimentFlag(const char* arg,
       std::fprintf(stderr, "--elastic wants on|off\n");
       return FlagParse::kError;
     }
-  } else if (FlagValue(arg, "--node-rent-multiplier", &v)) {
-    flags->node_rent_multiplier = std::stod(v);
-  } else if (FlagValue(arg, "--max-nodes", &v)) {
-    flags->max_nodes =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
   } else {
     return FlagParse::kNotMine;
   }

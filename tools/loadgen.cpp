@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -41,6 +40,7 @@ using namespace cloudcache;
 using tools::ExperimentFlags;
 using tools::FlagParse;
 using tools::FlagValue;
+using tools::NumericFlag;
 
 struct Args {
   ExperimentFlags exp;  // Shared experiment surface (config-hash parity).
@@ -81,18 +81,20 @@ std::optional<Args> Parse(int argc, char** argv) {
     const FlagParse shared = tools::ParseExperimentFlag(argv[i], &args.exp);
     if (shared == FlagParse::kConsumed) continue;
     if (shared == FlagParse::kError) return std::nullopt;
+    const FlagParse numeric = tools::FirstMatch({
+        NumericFlag(argv[i], "--port", &args.port),
+        NumericFlag(argv[i], "--count", &args.count),
+    });
+    if (numeric == FlagParse::kConsumed) continue;
+    if (numeric == FlagParse::kError) return std::nullopt;
     std::string v;
     if (FlagValue(argv[i], "--host", &v)) args.host = v;
-    else if (FlagValue(argv[i], "--port", &v))
-      args.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
     else if (FlagValue(argv[i], "--port-file", &v)) args.port_file = v;
-    else if (FlagValue(argv[i], "--count", &v)) args.count = std::stoull(v);
     else if (std::strcmp(argv[i], "--shutdown") == 0) args.shutdown = true;
     else if (std::strcmp(argv[i], "--stats") == 0) args.stats = true;
     else if (std::strcmp(argv[i], "--watch") == 0) args.watch = 1000;
     else if (FlagValue(argv[i], "--watch", &v)) {
-      args.watch = std::stoull(v);
-      if (args.watch == 0) {
+      if (!tools::ParseNumber(v, &args.watch) || args.watch == 0) {
         std::fprintf(stderr, "--watch wants a cadence >= 1\n");
         return std::nullopt;
       }
