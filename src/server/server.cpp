@@ -1,12 +1,16 @@
 #include "src/server/server.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -68,6 +72,108 @@ bool ReadRequestHead(int fd, const std::atomic<bool>& stop,
   return true;
 }
 
+/// Pool size when ServerOptions::workers is 0: Hello handshakes are short,
+/// so a few workers cover them plus some control connections.
+constexpr uint32_t kDefaultWorkers = 4;
+
+/// Bytes the event loop takes from one readable stream per recv.
+constexpr size_t kReadChunkBytes = 16 * 1024;
+
+}  // namespace
+
+/// A stream connection after its HelloAck. Only the event loop touches it.
+struct StreamConnection {
+  std::shared_ptr<Socket> socket;
+  uint32_t stream = 0;
+  FrameReader reader;
+  /// Framed replies the kernel has not taken yet: out[sent, size).
+  std::vector<uint8_t> out;
+  size_t sent = 0;
+  /// The one query this stream has waiting for its merge turn.
+  bool parked = false;
+  Query query;
+  bool eof = false;      // The peer sent FIN; buffered frames still count.
+  bool closing = false;  // An Error is queued: flush it, then close.
+  bool broken = false;   // A read or write failed: close now.
+
+  bool flushed() const { return sent == out.size(); }
+  /// Frames are parsed only when the previous one is fully answered: at
+  /// most one parked query and one unflushed reply per stream. That is
+  /// the backpressure — a pipelining client waits in its own buffers.
+  bool ready_for_frame() const {
+    return !parked && flushed() && !closing && !broken;
+  }
+  bool wants_input() const { return ready_for_frame() && !eof; }
+  /// Nothing left to do. Checked right after parsing, so a stream at EOF
+  /// has no complete frame left in its reader.
+  bool done() const {
+    return broken || (flushed() && (closing || (eof && !parked)));
+  }
+};
+
+namespace {
+
+/// Queues a framed message on `conn`.
+void Queue(StreamConnection* conn, const persist::Encoder& enc) {
+  if (!AppendFrame(enc, &conn->out).ok()) conn->broken = true;
+}
+
+/// Queues an Error on `conn`; the connection closes once it is flushed.
+void QueueError(StreamConnection* conn, ErrorCode code,
+                const std::string& message, persist::Encoder* enc) {
+  ErrorMsg msg;
+  msg.code = code;
+  msg.message = message;
+  enc->Clear();
+  EncodeError(msg, enc);
+  Queue(conn, *enc);
+  conn->closing = true;
+}
+
+/// Sends what the kernel takes of `conn`'s queued replies. With
+/// `wait_ms` > 0 it waits that long, once, for room. True when the
+/// connection's state changed: its buffer emptied or a send failed.
+bool Flush(StreamConnection* conn, int wait_ms = 0) {
+  if (conn->flushed() || conn->broken) return false;
+  while (conn->sent < conn->out.size()) {
+    const ssize_t n =
+        ::send(conn->socket->fd(), conn->out.data() + conn->sent,
+               conn->out.size() - conn->sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      conn->sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      conn->broken = true;
+      return true;
+    }
+    if (wait_ms <= 0) return false;
+    pollfd pfd;
+    pfd.fd = conn->socket->fd();
+    pfd.events = POLLOUT;
+    pfd.revents = 0;
+    ::poll(&pfd, 1, wait_ms);
+    wait_ms = 0;
+  }
+  conn->out.clear();
+  conn->sent = 0;
+  return true;
+}
+
+/// Takes one chunk of whatever `conn`'s peer has sent.
+void ReadInput(StreamConnection* conn, std::vector<uint8_t>* chunk) {
+  const ssize_t n =
+      ::recv(conn->socket->fd(), chunk->data(), chunk->size(), MSG_DONTWAIT);
+  if (n > 0) {
+    conn->reader.Append(chunk->data(), static_cast<size_t>(n));
+  } else if (n == 0) {
+    conn->eof = true;
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    conn->broken = true;
+  }
+}
+
 }  // namespace
 
 CloudCachedServer::CloudCachedServer(
@@ -87,6 +193,7 @@ CloudCachedServer::~CloudCachedServer() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (metrics_thread_.joinable()) metrics_thread_.join();
   pool_.reset();
+  if (loop_thread_.joinable()) loop_thread_.join();
 }
 
 Status CloudCachedServer::BuildEconomy() {
@@ -180,10 +287,16 @@ Status CloudCachedServer::Start() {
     metrics_port_ = metrics_port.value();
   }
 
+  const int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake < 0) {
+    return Status::IoError(std::string("eventfd: ") + std::strerror(errno));
+  }
+  wake_ = Socket(wake);
+
   streams_.assign(stream_count_, StreamState());
-  const uint32_t workers =
-      options_.workers > 0 ? options_.workers : stream_count_ + 4;
-  pool_ = std::make_unique<ThreadPool>(workers);
+  pool_ = std::make_unique<ThreadPool>(
+      options_.workers > 0 ? options_.workers : kDefaultWorkers);
+  loop_thread_ = std::thread([this] { EventLoop(); });
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (metrics_listener_.valid()) {
     metrics_thread_ = std::thread([this] { MetricsLoop(); });
@@ -198,6 +311,19 @@ void CloudCachedServer::BeginDrain() {
   }
   stop_.store(true);
   merge_cv_.notify_all();
+  WakeEventLoop();
+}
+
+void CloudCachedServer::WakeEventLoop() {
+  if (!wake_.valid()) return;
+  const uint64_t one = 1;
+  const ssize_t ignored = ::write(wake_.fd(), &one, sizeof(one));
+  (void)ignored;  // A full counter already means "wake up".
+}
+
+void CloudCachedServer::RetireLocked(uint32_t stream) {
+  streams_[stream].connected = false;
+  streams_[stream].retired = true;
 }
 
 void CloudCachedServer::RequestShutdown() {
@@ -227,6 +353,7 @@ Status CloudCachedServer::Wait() {
   // Runs any still-queued handlers (they see draining_ and bail) and
   // joins the workers; blocked reads were kicked by RequestShutdown.
   pool_.reset();
+  if (loop_thread_.joinable()) loop_thread_.join();
 
   std::lock_guard<std::mutex> lock(mu_);
   CLOUDCACHE_RETURN_IF_ERROR(checkpoint_status_);
@@ -376,172 +503,310 @@ void CloudCachedServer::HandleConnection(std::shared_ptr<Socket> conn) {
       return;
     }
   }
-  merge_cv_.notify_all();  // The claim may complete the merge gate.
-
   persist::Encoder enc;
   EncodeHelloAck(ack, &enc);
-  if (WriteFrame(*conn, enc).ok()) StreamLoop(*conn, stream);
-
+  if (WriteFrame(*conn, enc).ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!draining_) {
+      // From here the event loop owns the connection; this worker is free.
+      adopted_.emplace_back(std::move(conn), stream);
+      WakeEventLoop();
+      return;
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    streams_[stream].connected = false;
-    streams_[stream].retired = true;
+    RetireLocked(stream);
   }
-  merge_cv_.notify_all();
+  WakeEventLoop();  // The merge head may have moved.
   UnregisterConnection(conn.get());
 }
 
-bool CloudCachedServer::MergeTurnLocked(uint32_t stream) const {
-  // Service begins only once every configured stream has claimed: until
-  // then the earliest unclaimed stream might hold the merge head, and
-  // serving around it would diverge from the simulator's schedule.
-  for (const StreamState& state : streams_) {
-    if (!state.claimed) return false;
-  }
-  // The simulator's merge rule over the streams still in the merge.
-  const size_t head = MergeHead(
-      stream_count_,
-      [this](size_t u) { return twins_[u]->PeekNextArrival(); },
-      [this](size_t u) { return streams_[u].connected; });
-  return head == stream;
-}
-
-void CloudCachedServer::StreamLoop(const Socket& conn, uint32_t stream) {
+void CloudCachedServer::EventLoop() {
+  std::vector<std::unique_ptr<StreamConnection>> conns;
+  std::vector<StreamConnection*> by_stream(stream_count_, nullptr);
+  std::vector<pollfd> fds;
+  std::vector<uint8_t> chunk(kReadChunkBytes);
   std::vector<uint8_t> payload;
-  bool clean_eof = false;
-  while (true) {
-    const Status read = ReadFrame(conn, &payload, &clean_eof);
-    if (!read.ok() || clean_eof) return;
-    persist::Decoder dec(payload.data(), payload.size());
-    MessageType type = MessageType::kQuery;
-    Status parsed = PeekType(&dec, &type);
-    if (!parsed.ok()) {
-      SendError(conn, ErrorCode::kBadFrame, parsed.message());
-      return;
+  persist::Encoder enc;
+  while (!stop_.load()) {
+    // Slot 0 is wake_; slot i + 1 is conns[i]. A connection with nothing
+    // to read or write (a parked query) is left out, so a peer that hung
+    // up cannot spin the loop with POLLHUP.
+    fds.clear();
+    fds.push_back(pollfd{wake_.fd(), POLLIN, 0});
+    for (const std::unique_ptr<StreamConnection>& conn : conns) {
+      pollfd pfd{-1, 0, 0};
+      if (conn->wants_input()) pfd.events |= POLLIN;
+      if (!conn->flushed()) pfd.events |= POLLOUT;
+      if (pfd.events != 0) pfd.fd = conn->socket->fd();
+      fds.push_back(pfd);
     }
-
-    if (type == MessageType::kStats) {
-      if (!DecodeStats(&dec).ok()) {
-        SendError(conn, ErrorCode::kBadFrame, "malformed Stats");
-        return;
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      std::fprintf(stderr, "cloudcached: event loop poll failed: %s\n",
+                   std::strerror(errno));
+      RequestShutdown();
+      break;
+    }
+    if (stop_.load()) break;
+    for (size_t i = 0; i < conns.size(); ++i) {
+      const short revents = fds[i + 1].revents;
+      StreamConnection* conn = conns[i].get();
+      if ((revents & (POLLOUT | POLLERR | POLLHUP)) != 0) Flush(conn);
+      if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
+          conn->wants_input()) {
+        ReadInput(conn, &chunk);
       }
-      persist::Encoder enc;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        EncodeStatsAck(StatsLocked(), &enc);
+    }
+    if (fds[0].revents != 0) {
+      uint64_t wakes = 0;
+      const ssize_t ignored = ::read(wake_.fd(), &wakes, sizeof(wakes));
+      (void)ignored;
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& [socket, stream] : adopted_) {
+        auto conn = std::make_unique<StreamConnection>();
+        conn->socket = std::move(socket);
+        conn->stream = stream;
+        by_stream[stream] = conn.get();
+        conns.push_back(std::move(conn));
       }
-      if (!WriteFrame(conn, enc).ok()) return;
-      continue;
+      adopted_.clear();
     }
-    if (type == MessageType::kShutdown) {
-      if (!DecodeShutdown(&dec).ok()) {
-        SendError(conn, ErrorCode::kBadFrame, "malformed Shutdown");
-        return;
-      }
-      AckShutdown(conn);
-      return;
-    }
-    if (type != MessageType::kQuery) {
-      SendError(conn, ErrorCode::kNotAllowed,
-                std::string(MessageTypeName(type)) +
-                    " not allowed on a stream connection");
-      return;
-    }
-
-    Query received;
-    parsed = DecodeQuery(&dec, &received);
-    if (!parsed.ok()) {
-      SendError(conn, ErrorCode::kBadFrame, parsed.message());
-      return;
-    }
-
-    OutcomeMsg outcome;
-    ErrorCode error = ErrorCode::kInternal;
-    std::string error_message;
-    bool serve_failed = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      merge_cv_.wait(lock, [this, stream] {
-        return draining_ ||
-               sim_->external_processed() >= sim_->options().num_queries ||
-               MergeTurnLocked(stream);
-      });
-      if (draining_) {
-        error = ErrorCode::kShuttingDown;
-        error_message = "server is draining";
-        serve_failed = true;
-      } else if (sim_->external_processed() >=
-                 sim_->options().num_queries) {
-        error = ErrorCode::kRunComplete;
-        error_message = "the configured run of " +
-                        std::to_string(sim_->options().num_queries) +
-                        " queries is complete";
-        serve_failed = true;
-      } else {
-        // The twin generator is the source of truth: draw its query,
-        // verify the client sent the same one, and serve the twin's
-        // instance — the economy's evolution is then a pure function of
-        // the configuration, never of client-marshalled bytes.
-        const Query expected = twins_[stream]->Next();
-        if (received.id != expected.id ||
-            received.template_id != expected.template_id ||
-            received.arrival_time != expected.arrival_time ||
-            received.table != expected.table ||
-            received.tenant_id != expected.tenant_id) {
-          tainted_ = true;
-          taint_reason_ = "stream " + std::to_string(stream) +
-                          " diverged from its twin generator at query " +
-                          std::to_string(expected.id);
-          error = ErrorCode::kStreamDiverged;
-          error_message = taint_reason_;
-          serve_failed = true;
-        } else {
-          const ServedQuery served = sim_->ExternalServe(expected);
-          const uint64_t processed = sim_->external_processed();
-          outcome.query_id = expected.id;
-          outcome.global_index = processed - 1;
-          outcome.served = served.served;
-          outcome.access = static_cast<uint8_t>(served.spec.access);
-          outcome.throttled = served.throttled;
-          outcome.response_seconds = served.execution.time_seconds;
-          outcome.payment_micros = served.payment.micros();
-          outcome.profit_micros = served.profit.micros();
-          outcome.has_budget_case = served.has_budget_case;
-          outcome.budget_case = static_cast<uint8_t>(served.budget_case);
-          outcome.investments = served.investments;
-          outcome.evictions = served.evictions;
-          if (checkpoint_status_.ok() && !tainted_) {
-            checkpoint_status_ = CheckpointStep(
-                sim_->options().checkpoint, sim_->options().num_queries,
-                processed - 1, processed,
-                [this] { return sim_->ExternalCheckpoint(); });
-            if (!checkpoint_status_.ok()) {
-              std::fprintf(stderr, "cloudcached: checkpoint failed: %s\n",
-                           checkpoint_status_.ToString().c_str());
-            }
+    // Run every consequence of what arrived: a parsed frame, a served
+    // query, a flushed reply or a closed stream can each enable another.
+    bool progressed = true;
+    while (progressed && !stop_.load()) {
+      progressed = false;
+      for (const std::unique_ptr<StreamConnection>& conn : conns) {
+        while (conn->ready_for_frame()) {
+          bool popped = false;
+          if (!conn->reader.Pop(&payload, &popped).ok()) {
+            conn->broken = true;  // A refused length, as ReadFrame's.
+          } else if (popped) {
+            HandleStreamFrame(conn.get(), payload, &enc);
+          } else {
+            break;
           }
-          if (options_.log_every > 0 &&
-              processed % options_.log_every == 0) {
-            std::fprintf(
-                stderr, "cloudcached: served %llu/%llu, credit $%.2f\n",
-                static_cast<unsigned long long>(processed),
-                static_cast<unsigned long long>(
-                    sim_->options().num_queries),
-                scheme_->credit().ToDollars());
-          }
+          progressed = true;
         }
       }
+      progressed |= ReapClosed(&conns, &by_stream);
+      progressed |= ServeParked(by_stream, &enc);
+      for (const std::unique_ptr<StreamConnection>& conn : conns) {
+        progressed |= Flush(conn.get());
+      }
     }
-    merge_cv_.notify_all();
+  }
 
-    if (serve_failed) {
-      SendError(conn, error, error_message);
+  // Drain: each parked query is refused with kShuttingDown, best-effort
+  // (RequestShutdown may have kicked the socket already), and every
+  // stream leaves the merge.
+  for (const std::unique_ptr<StreamConnection>& conn : conns) {
+    if (conn->parked) {
+      QueueError(conn.get(), ErrorCode::kShuttingDown, "server is draining",
+                 &enc);
+    }
+    Flush(conn.get());
+  }
+  std::vector<std::pair<std::shared_ptr<Socket>, uint32_t>> orphans;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::unique_ptr<StreamConnection>& conn : conns) {
+      RetireLocked(conn->stream);
+    }
+    // draining_ is set before stop_, so no hand-off can follow this one.
+    orphans.swap(adopted_);
+    for (const auto& orphan : orphans) RetireLocked(orphan.second);
+  }
+  for (const std::unique_ptr<StreamConnection>& conn : conns) {
+    UnregisterConnection(conn->socket.get());
+  }
+  for (const auto& orphan : orphans) UnregisterConnection(orphan.first.get());
+}
+
+void CloudCachedServer::HandleStreamFrame(StreamConnection* conn,
+                                          const std::vector<uint8_t>& payload,
+                                          persist::Encoder* enc) {
+  persist::Decoder dec(payload.data(), payload.size());
+  MessageType type = MessageType::kQuery;
+  const Status parsed = PeekType(&dec, &type);
+  if (!parsed.ok()) {
+    QueueError(conn, ErrorCode::kBadFrame, parsed.message(), enc);
+    return;
+  }
+  enc->Clear();
+  switch (type) {
+    case MessageType::kQuery: {
+      const Status decoded = DecodeQuery(&dec, &conn->query);
+      if (!decoded.ok()) {
+        QueueError(conn, ErrorCode::kBadFrame, decoded.message(), enc);
+        return;
+      }
+      conn->parked = true;
       return;
     }
-    persist::Encoder enc;
-    EncodeOutcome(outcome, &enc);
-    if (!WriteFrame(conn, enc).ok()) return;
+    case MessageType::kStats:
+      if (!DecodeStats(&dec).ok()) {
+        QueueError(conn, ErrorCode::kBadFrame, "malformed Stats", enc);
+        return;
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        EncodeStatsAck(StatsLocked(), enc);
+      }
+      Queue(conn, *enc);
+      return;
+    case MessageType::kShutdown:
+      if (!DecodeShutdown(&dec).ok()) {
+        QueueError(conn, ErrorCode::kBadFrame, "malformed Shutdown", enc);
+        return;
+      }
+      // AckShutdown's order: flag the drain, write the ack (the buffer
+      // was empty, so it goes out first), then kick every connection.
+      BeginDrain();
+      EncodeShutdownAck(enc);
+      Queue(conn, *enc);
+      Flush(conn, static_cast<int>(kStopPollMs));
+      conn->closing = true;
+      RequestShutdown();
+      return;
+    default:
+      QueueError(conn, ErrorCode::kNotAllowed,
+                 std::string(MessageTypeName(type)) +
+                     " not allowed on a stream connection",
+                 enc);
+      return;
   }
+}
+
+bool CloudCachedServer::ServeParked(
+    const std::vector<StreamConnection*>& by_stream, persist::Encoder* enc) {
+  uint64_t served = 0;
+  bool complete = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Service begins only once every configured stream has claimed: until
+    // then the earliest unclaimed stream might hold the merge head, and
+    // serving around it would diverge from the simulator's schedule.
+    const bool gate_open =
+        std::all_of(streams_.begin(), streams_.end(),
+                    [](const StreamState& state) { return state.claimed; });
+    const uint64_t num_queries = sim_->options().num_queries;
+    while (gate_open && !draining_ &&
+           sim_->external_processed() < num_queries) {
+      // The simulator's merge rule over the streams still in the merge.
+      const size_t head = MergeHead(
+          stream_count_,
+          [this](size_t u) { return twins_[u]->PeekNextArrival(); },
+          [this](size_t u) { return streams_[u].connected; });
+      if (head == stream_count_ || by_stream[head] == nullptr ||
+          !by_stream[head]->parked) {
+        break;
+      }
+      ServeLocked(by_stream[head], enc);
+      ++served;
+    }
+    complete = sim_->external_processed() >= num_queries;
+  }
+  if (served > 0) merge_cv_.notify_all();
+  bool refused = false;
+  if (complete) {
+    for (StreamConnection* conn : by_stream) {
+      if (conn == nullptr || !conn->parked) continue;
+      conn->parked = false;
+      QueueError(conn, ErrorCode::kRunComplete,
+                 "the configured run of " +
+                     std::to_string(sim_->options().num_queries) +
+                     " queries is complete",
+                 enc);
+      refused = true;
+    }
+  }
+  return served > 0 || refused;
+}
+
+void CloudCachedServer::ServeLocked(StreamConnection* conn,
+                                    persist::Encoder* enc) {
+  conn->parked = false;
+  const Query& received = conn->query;
+  const uint32_t stream = conn->stream;
+  // The twin generator is the source of truth: draw its query, verify the
+  // client sent the same one, and serve the twin's instance — the
+  // economy's evolution is then a pure function of the configuration,
+  // never of client-marshalled bytes.
+  const Query expected = twins_[stream]->Next();
+  if (received.id != expected.id ||
+      received.template_id != expected.template_id ||
+      received.arrival_time != expected.arrival_time ||
+      received.table != expected.table ||
+      received.tenant_id != expected.tenant_id) {
+    tainted_ = true;
+    taint_reason_ = "stream " + std::to_string(stream) +
+                    " diverged from its twin generator at query " +
+                    std::to_string(expected.id);
+    QueueError(conn, ErrorCode::kStreamDiverged, taint_reason_, enc);
+    return;
+  }
+  const ServedQuery served = sim_->ExternalServe(expected);
+  const uint64_t processed = sim_->external_processed();
+  OutcomeMsg outcome;
+  outcome.query_id = expected.id;
+  outcome.global_index = processed - 1;
+  outcome.served = served.served;
+  outcome.access = static_cast<uint8_t>(served.spec.access);
+  outcome.throttled = served.throttled;
+  outcome.response_seconds = served.execution.time_seconds;
+  outcome.payment_micros = served.payment.micros();
+  outcome.profit_micros = served.profit.micros();
+  outcome.has_budget_case = served.has_budget_case;
+  outcome.budget_case = static_cast<uint8_t>(served.budget_case);
+  outcome.investments = served.investments;
+  outcome.evictions = served.evictions;
+  enc->Clear();
+  EncodeOutcome(outcome, enc);
+  Queue(conn, *enc);
+  if (checkpoint_status_.ok() && !tainted_) {
+    checkpoint_status_ = CheckpointStep(
+        sim_->options().checkpoint, sim_->options().num_queries,
+        processed - 1, processed,
+        [this] { return sim_->ExternalCheckpoint(); });
+    if (!checkpoint_status_.ok()) {
+      std::fprintf(stderr, "cloudcached: checkpoint failed: %s\n",
+                   checkpoint_status_.ToString().c_str());
+    }
+  }
+  if (options_.log_every > 0 && processed % options_.log_every == 0) {
+    std::fprintf(stderr, "cloudcached: served %llu/%llu, credit $%.2f\n",
+                 static_cast<unsigned long long>(processed),
+                 static_cast<unsigned long long>(sim_->options().num_queries),
+                 scheme_->credit().ToDollars());
+  }
+}
+
+bool CloudCachedServer::ReapClosed(
+    std::vector<std::unique_ptr<StreamConnection>>* conns,
+    std::vector<StreamConnection*>* by_stream) {
+  const auto first_done = std::partition(
+      conns->begin(), conns->end(),
+      [](const std::unique_ptr<StreamConnection>& conn) {
+        return !conn->done();
+      });
+  if (first_done == conns->end()) return false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = first_done; it != conns->end(); ++it) {
+      RetireLocked((*it)->stream);
+    }
+  }
+  for (auto it = first_done; it != conns->end(); ++it) {
+    (*by_stream)[(*it)->stream] = nullptr;
+    // Unregistered before the socket closes, so RequestShutdown never
+    // kicks a recycled fd.
+    UnregisterConnection((*it)->socket.get());
+  }
+  conns->erase(first_done, conns->end());
+  return true;
 }
 
 void CloudCachedServer::ControlLoop(const Socket& conn) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/server/protocol.h"
@@ -18,15 +19,18 @@
 namespace cloudcache {
 namespace server {
 
+/// A stream connection inside the event loop (server.cpp).
+struct StreamConnection;
+
 struct ServerOptions {
   /// Numeric IPv4 listen address.
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port (read it back with port()).
   uint16_t port = kDefaultPort;
-  /// Connection-handler pool size; 0 sizes it to the stream count plus
-  /// headroom for control connections. Every live connection occupies a
-  /// worker for its lifetime, so this must exceed the number of
-  /// concurrent connections or late arrivals queue until one closes.
+  /// Handler pool size for Hello handshakes and control connections
+  /// (0 = 4). A stream connection leaves the pool once its HelloAck is
+  /// out — the event loop serves it — so the pool needs no worker per
+  /// stream; a control connection holds its worker until it closes.
   uint32_t workers = 0;
   /// Snapshot file written on graceful shutdown (and by the periodic
   /// cadence below). Empty disables persistence.
@@ -50,25 +54,26 @@ struct ServerOptions {
 /// The economy served over TCP (docs/server.md). One process hosts the
 /// exact object graph the simulator drives — MakeExperimentScheme's
 /// scheme, one twin WorkloadGenerator per stream, a Simulator in
-/// external-drive mode — and an accept loop hands each connection to a
-/// worker-pool handler.
+/// external-drive mode. An accept loop hands each new connection to a
+/// worker-pool handler for its Hello; control connections stay there,
+/// and stream connections move to the one event-loop thread.
 ///
 /// Determinism discipline: client connection #t claims workload stream t
 /// (= tenant t). The server re-derives every stream from the shared
 /// config, verifies each received query against its twin generator, and
 /// serves queries strictly in the merged arrival order the simulator
-/// would use (earliest arrival first, ties by stream id) — a handler
-/// whose stream is not at the merge head blocks until it is. The economy
-/// the clients observe is therefore bit-identical to `Simulator::Run()`
-/// on the same configuration, and snapshots written here restore into
+/// would use (earliest arrival first, ties by stream id): the event loop
+/// parks at most one query per stream and serves whenever the merge
+/// head's stream has one parked. The economy the clients observe is
+/// therefore bit-identical to `Simulator::Run()` on the same
+/// configuration, and snapshots written here restore into
 /// `cloudcache_sim --restore` (and vice versa).
 ///
-/// The scheme is driven under one mutex, not sharded: ClusterScheme's
+/// The scheme is driven by that one thread, not sharded: ClusterScheme's
 /// cross-node router, the shared account, and the rent meter are all
 /// global state, and the paper's economy is defined over a serial order
-/// of decisions. Concurrency buys connection fan-in, not decision
-/// fan-out (ROADMAP: the parallel decision loop is the windowed driver's
-/// job, offline).
+/// of decisions. Connections fan in; decisions never fan out (ROADMAP:
+/// the parallel decision loop is the windowed driver's job, offline).
 class CloudCachedServer {
  public:
   /// `catalog`, `templates`, and `config` must outlive the server (the
@@ -104,11 +109,12 @@ class CloudCachedServer {
   /// True once RequestShutdown has been called (by anyone).
   bool ShutdownRequested() const { return stop_.load(); }
 
-  /// Joins the accept loop and every handler, then writes the shutdown
-  /// snapshot. Returns an error if the snapshot cannot be written, if a
-  /// periodic checkpoint had failed, or if the run was tainted by a
-  /// diverged stream (the snapshot is refused — it would not match any
-  /// simulator-reachable state). Blocks until RequestShutdown happens.
+  /// Joins the accept loop, the event loop and every handler, then
+  /// writes the shutdown snapshot. Returns an error if the snapshot
+  /// cannot be written, if a periodic checkpoint had failed, or if the
+  /// run was tainted by a diverged stream (the snapshot is refused — it
+  /// would not match any simulator-reachable state). Blocks until
+  /// RequestShutdown happens.
   Status Wait();
 
   /// Served so far, in merged order (thread-safe).
@@ -127,8 +133,8 @@ class CloudCachedServer {
     bool retired = false;    // Left the merge for good (close/divergence).
   };
 
-  /// Flags the drain (draining_, stop_) and wakes every waiter, without
-  /// touching any socket.
+  /// Flags the drain (draining_, stop_) and wakes every waiter and the
+  /// event loop, without touching any socket.
   void BeginDrain();
   /// Answers a Shutdown on `conn`: flags the drain, writes the ack, then
   /// kicks every live connection (RequestShutdown).
@@ -137,9 +143,31 @@ class CloudCachedServer {
   /// twin generators, and the external-drive simulator.
   Status BuildEconomy();
   void AcceptLoop();
+  /// The Hello gate; hands a claimed stream to the event loop.
   void HandleConnection(std::shared_ptr<Socket> conn);
-  /// Serves the stream-t data loop after a successful Hello.
-  void StreamLoop(const Socket& conn, uint32_t stream);
+  /// Owns every stream connection after its HelloAck: polls them and
+  /// wake_, parses frames as bytes arrive, serves parked queries in merge
+  /// order, and queues replies on nonblocking per-connection buffers.
+  /// Returns once the drain begins.
+  void EventLoop();
+  /// Acts on one frame from a stream connection: parks a Query, answers
+  /// Stats and Shutdown, queues an Error for anything else.
+  void HandleStreamFrame(StreamConnection* conn,
+                         const std::vector<uint8_t>& payload,
+                         persist::Encoder* enc);
+  /// Serves parked queries while every stream has claimed and the merge
+  /// head's stream has one parked; refuses parked queries once the run
+  /// is complete. True when any reply was queued.
+  bool ServeParked(const std::vector<StreamConnection*>& by_stream,
+                   persist::Encoder* enc);
+  /// Verifies `conn`'s parked query against its twin, serves it, runs the
+  /// checkpoint cadence and progress log, and queues the reply. Requires
+  /// mu_.
+  void ServeLocked(StreamConnection* conn, persist::Encoder* enc);
+  /// Closes finished connections and retires their streams. True when
+  /// any closed.
+  bool ReapClosed(std::vector<std::unique_ptr<StreamConnection>>* conns,
+                  std::vector<StreamConnection*>* by_stream);
   /// Stats/Shutdown loop for control connections.
   void ControlLoop(const Socket& conn);
   /// Push loop after a StatsSubscribe: writes a StatsAck immediately,
@@ -148,9 +176,10 @@ class CloudCachedServer {
   void SubscriptionLoop(const Socket& conn, uint64_t every);
   /// Accept loop + one-shot HTTP responder for the metrics endpoint.
   void MetricsLoop();
-  /// True when stream t holds the merge head: MergeHead over the
-  /// connected streams, once every stream has claimed. Requires mu_.
-  bool MergeTurnLocked(uint32_t stream) const;
+  /// Takes stream t out of the merge for good. Requires mu_.
+  void RetireLocked(uint32_t stream);
+  /// Makes the event loop's poll return.
+  void WakeEventLoop();
   StatsAckMsg StatsLocked() const;
   void RegisterConnection(const std::shared_ptr<Socket>& conn);
   void UnregisterConnection(const Socket* conn);
@@ -176,14 +205,20 @@ class CloudCachedServer {
   std::thread metrics_thread_;
   std::thread accept_thread_;
   std::unique_ptr<ThreadPool> pool_;
+  /// An eventfd: a stream handed to the event loop, a retirement outside
+  /// it, or the drain makes its poll return.
+  Socket wake_;
+  std::thread loop_thread_;
   std::atomic<bool> stop_{false};
 
-  /// Guards the economy (scheme_, twins_, sim_), the stream table, and
-  /// the connection registry. merge_cv_ wakes handlers when the merge
-  /// head may have moved or a drain began.
+  /// Guards the economy (scheme_, twins_, sim_), the stream table, the
+  /// hand-off queue, and the connection registry. merge_cv_ wakes
+  /// subscribers once per served batch and when a drain begins.
   mutable std::mutex mu_;
   std::condition_variable merge_cv_;
   std::vector<StreamState> streams_;
+  /// Claimed streams whose HelloAck went out, waiting for the event loop.
+  std::vector<std::pair<std::shared_ptr<Socket>, uint32_t>> adopted_;
   bool draining_ = false;
   bool tainted_ = false;
   std::string taint_reason_;

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -32,6 +33,34 @@ Status FillAddress(const std::string& host, uint16_t port,
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// The length check every frame passes, outbound and inbound.
+Status CheckFrameLength(uint64_t length) {
+  if (length == 0) {
+    return Status::InvalidArgument("empty frame (no message type byte)");
+  }
+  if (length > kMaxFramePayloadBytes) {
+    return Status::InvalidArgument(
+        "frame payload of " + std::to_string(length) +
+        " bytes exceeds the 1 MiB cap");
+  }
+  return Status::OK();
+}
+
+/// The u32 little-endian length prefix of a `length`-byte payload.
+void PutPrefix(uint32_t length, uint8_t prefix[4]) {
+  for (int i = 0; i < 4; ++i) {
+    prefix[i] = static_cast<uint8_t>(length >> (8 * i));
+  }
+}
+
+uint32_t GetPrefix(const uint8_t prefix[4]) {
+  uint32_t length = 0;
+  for (int i = 0; i < 4; ++i) {
+    length |= static_cast<uint32_t>(prefix[i]) << (8 * i);
+  }
+  return length;
 }
 
 }  // namespace
@@ -114,13 +143,48 @@ Status WriteAll(const Socket& socket, const uint8_t* data, size_t size) {
 
 Status WriteFrame(const Socket& socket, const persist::Encoder& payload) {
   const std::vector<uint8_t>& body = payload.buffer();
-  if (body.size() > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument("frame payload exceeds the 1 MiB cap");
+  CLOUDCACHE_RETURN_IF_ERROR(CheckFrameLength(body.size()));
+  uint8_t prefix[4];
+  PutPrefix(static_cast<uint32_t>(body.size()), prefix);
+  iovec parts[2];
+  parts[0].iov_base = prefix;
+  parts[0].iov_len = sizeof(prefix);
+  parts[1].iov_base = const_cast<uint8_t*>(body.data());
+  parts[1].iov_len = body.size();
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("send");
+    }
+    // A short send: skip what went out and resend the rest.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov[0].iov_len) {
+      sent -= msg.msg_iov[0].iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov[0].iov_base =
+          static_cast<uint8_t*>(msg.msg_iov[0].iov_base) + sent;
+      msg.msg_iov[0].iov_len -= sent;
+    }
   }
-  persist::Encoder framed;
-  framed.PutU32(static_cast<uint32_t>(body.size()));
-  framed.PutBytes(body.data(), body.size());
-  return WriteAll(socket, framed.buffer().data(), framed.size());
+  return Status::OK();
+}
+
+Status AppendFrame(const persist::Encoder& payload,
+                   std::vector<uint8_t>* out) {
+  const std::vector<uint8_t>& body = payload.buffer();
+  CLOUDCACHE_RETURN_IF_ERROR(CheckFrameLength(body.size()));
+  uint8_t prefix[4];
+  PutPrefix(static_cast<uint32_t>(body.size()), prefix);
+  out->insert(out->end(), prefix, prefix + sizeof(prefix));
+  out->insert(out->end(), body.begin(), body.end());
+  return Status::OK();
 }
 
 namespace {
@@ -159,17 +223,8 @@ Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
   CLOUDCACHE_RETURN_IF_ERROR(
       ReadExact(socket, prefix, sizeof(prefix), clean_eof));
   if (*clean_eof) return Status::OK();
-  persist::Decoder dec(prefix, sizeof(prefix));
-  uint32_t length = 0;
-  CLOUDCACHE_RETURN_IF_ERROR(dec.ReadU32(&length));
-  if (length == 0) {
-    return Status::InvalidArgument("empty frame (no message type byte)");
-  }
-  if (length > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument(
-        "frame payload of " + std::to_string(length) +
-        " bytes exceeds the 1 MiB cap");
-  }
+  const uint32_t length = GetPrefix(prefix);
+  CLOUDCACHE_RETURN_IF_ERROR(CheckFrameLength(length));
   payload->resize(length);
   bool mid_eof = false;
   const Status read =
@@ -178,6 +233,29 @@ Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
   if (mid_eof) {
     return Status::IoError("connection closed between length and payload");
   }
+  return Status::OK();
+}
+
+void FrameReader::Append(const uint8_t* data, size_t size) {
+  // Popped frames are dropped first, so the buffer holds at most what
+  // has not been consumed yet.
+  buf_.erase(buf_.begin(),
+             buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  buf_.insert(buf_.end(), data, data + size);
+}
+
+Status FrameReader::Pop(std::vector<uint8_t>* payload, bool* popped) {
+  *popped = false;
+  const size_t available = buf_.size() - head_;
+  if (available < 4) return Status::OK();
+  const uint32_t length = GetPrefix(buf_.data() + head_);
+  CLOUDCACHE_RETURN_IF_ERROR(CheckFrameLength(length));
+  if (available - 4 < length) return Status::OK();
+  const uint8_t* begin = buf_.data() + head_ + 4;
+  payload->assign(begin, begin + length);
+  head_ += 4 + static_cast<size_t>(length);
+  *popped = true;
   return Status::OK();
 }
 

@@ -11,8 +11,10 @@
 namespace cloudcache {
 namespace server {
 
-/// Thin RAII wrapper over a TCP socket fd plus blocking frame I/O —
-/// everything here is transport; message layout lives in protocol.h.
+/// Thin RAII wrapper over a TCP socket fd plus frame I/O — blocking
+/// (WriteFrame/ReadFrame) and incremental (AppendFrame/FrameReader, for
+/// the server's nonblocking event loop). Everything here is transport;
+/// message layout lives in protocol.h.
 /// Linux-only by design (the container and CI are): sends use
 /// MSG_NOSIGNAL so a peer that vanished surfaces as a Status, never as
 /// SIGPIPE.
@@ -56,9 +58,14 @@ void EnableNoDelay(const Socket& socket);
 /// Blocking write of the whole buffer.
 Status WriteAll(const Socket& socket, const uint8_t* data, size_t size);
 
-/// Frames `type byte + body` already encoded into `payload_enc` with the
-/// u32 little-endian length prefix and writes it out.
+/// Frames `type byte + body` already encoded into `payload` with the u32
+/// little-endian length prefix and writes both out in one sendmsg (no
+/// copy of the payload).
 Status WriteFrame(const Socket& socket, const persist::Encoder& payload);
+
+/// Appends the framed `payload` (length prefix, then the bytes) to `out`,
+/// for a caller that flushes `out` itself. Refuses what WriteFrame does.
+Status AppendFrame(const persist::Encoder& payload, std::vector<uint8_t>* out);
 
 /// Reads one length-prefixed frame into `payload`. A connection closed
 /// cleanly at a frame boundary sets `*clean_eof` and returns OK with an
@@ -66,6 +73,24 @@ Status WriteFrame(const Socket& socket, const persist::Encoder& payload);
 /// (> kMaxFramePayloadBytes), and I/O errors return a Status.
 Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
                  bool* clean_eof);
+
+/// Incremental frame parser for nonblocking reads: Append whatever bytes
+/// arrived, then Pop complete frames. Applies ReadFrame's refusals — a
+/// zero or over-cap length prefix fails as soon as its 4 bytes are in,
+/// before any payload is buffered for it.
+class FrameReader {
+ public:
+  void Append(const uint8_t* data, size_t size);
+
+  /// Copies the next complete frame's payload into `*payload` and sets
+  /// `*popped`; leaves `*popped` false while the buffered bytes end
+  /// mid-frame.
+  Status Pop(std::vector<uint8_t>* payload, bool* popped);
+
+ private:
+  std::vector<uint8_t> buf_;
+  size_t head_ = 0;  // Start of the first unpopped byte in buf_.
+};
 
 }  // namespace server
 }  // namespace cloudcache

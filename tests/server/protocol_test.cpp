@@ -9,18 +9,25 @@
 //  3. Corruption refusal: unknown type bytes, out-of-range enum values,
 //     non-0/1 bools, invalid numeric domains, and trailing garbage are
 //     all refused.
+//  4. Framing: the incremental FrameReader reassembles a byte stream cut
+//     at every boundary into the same frames, and refuses the lengths
+//     ReadFrame refuses; WriteFrame's one-sendmsg frames read back.
 
 #include "src/server/protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/persist/codec.h"
+#include "src/server/socket_io.h"
 
 namespace cloudcache::server {
 namespace {
@@ -312,11 +319,8 @@ TEST(ProtocolTest, ErrorStatsAndShutdownRoundTrip) {
   }
 }
 
-TEST(ProtocolTest, EveryTruncationOfEveryMessageIsRefused) {
-  // Encode one of each message, then replay every strict prefix of each
-  // payload through its decoder: all must fail, none may crash or
-  // succeed on partial data. (Prefix length 0 is the transport's case —
-  // ReadFrame refuses empty frames before any decoder runs.)
+/// One encoded payload of every message type that has a body.
+std::vector<std::pair<MessageType, std::vector<uint8_t>>> OneOfEachMessage() {
   std::vector<std::pair<MessageType, std::vector<uint8_t>>> messages;
   persist::Encoder enc;
 
@@ -359,8 +363,16 @@ TEST(ProtocolTest, EveryTruncationOfEveryMessageIsRefused) {
   subscribe.every = 100;
   EncodeStatsSubscribe(subscribe, &enc);
   messages.emplace_back(MessageType::kStatsSubscribe, enc.buffer());
-  enc.Clear();
+  return messages;
+}
 
+TEST(ProtocolTest, EveryTruncationOfEveryMessageIsRefused) {
+  // Encode one of each message, then replay every strict prefix of each
+  // payload through its decoder: all must fail, none may crash or
+  // succeed on partial data. (Prefix length 0 is the transport's case —
+  // ReadFrame refuses empty frames before any decoder runs.)
+  const std::vector<std::pair<MessageType, std::vector<uint8_t>>> messages =
+      OneOfEachMessage();
   for (const auto& [type, bytes] : messages) {
     ASSERT_TRUE(DecodeAs(type, bytes).ok()) << MessageTypeName(type);
     for (size_t cut = 1; cut < bytes.size(); ++cut) {
@@ -458,6 +470,142 @@ TEST(ProtocolTest, NamesCoverEveryValue) {
   for (uint8_t raw = 1; raw <= 10; ++raw) {
     EXPECT_STRNE(ErrorCodeName(static_cast<ErrorCode>(raw)), "");
   }
+}
+
+/// Every message payload, bodyless ones included, framed back to back.
+std::vector<std::vector<uint8_t>> FramedMessages(std::vector<uint8_t>* wire) {
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const auto& message : OneOfEachMessage()) {
+    payloads.push_back(message.second);
+  }
+  persist::Encoder enc;
+  EncodeStats(&enc);
+  payloads.push_back(enc.buffer());
+  enc.Clear();
+  EncodeShutdown(&enc);
+  payloads.push_back(enc.buffer());
+  for (const std::vector<uint8_t>& payload : payloads) {
+    enc.Clear();
+    enc.PutBytes(payload.data(), payload.size());
+    EXPECT_TRUE(AppendFrame(enc, wire).ok());
+  }
+  return payloads;
+}
+
+/// Pops every complete frame `reader` holds onto `popped`.
+void PopAll(FrameReader* reader, std::vector<std::vector<uint8_t>>* popped) {
+  std::vector<uint8_t> payload;
+  bool got = true;
+  while (got) {
+    ASSERT_TRUE(reader->Pop(&payload, &got).ok());
+    if (got) popped->push_back(payload);
+  }
+}
+
+TEST(ProtocolTest, FrameReaderReassemblesEverySplit) {
+  std::vector<uint8_t> wire;
+  const std::vector<std::vector<uint8_t>> payloads = FramedMessages(&wire);
+  // Two reads, cut at every byte of the stream (so inside every length
+  // prefix and every payload of every message).
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    FrameReader reader;
+    std::vector<std::vector<uint8_t>> popped;
+    reader.Append(wire.data(), cut);
+    PopAll(&reader, &popped);
+    reader.Append(wire.data() + cut, wire.size() - cut);
+    PopAll(&reader, &popped);
+    EXPECT_EQ(popped, payloads) << "cut at byte " << cut;
+  }
+  // One byte per read: a frame pops exactly when its last byte arrives.
+  FrameReader reader;
+  std::vector<std::vector<uint8_t>> popped;
+  size_t next_frame_end = 4 + payloads[0].size();
+  for (size_t i = 0; i < wire.size(); ++i) {
+    reader.Append(wire.data() + i, 1);
+    const size_t before = popped.size();
+    PopAll(&reader, &popped);
+    if (i + 1 == next_frame_end) {
+      ASSERT_EQ(popped.size(), before + 1) << "byte " << i;
+      if (popped.size() < payloads.size()) {
+        next_frame_end += 4 + payloads[popped.size()].size();
+      }
+    } else {
+      ASSERT_EQ(popped.size(), before) << "byte " << i;
+    }
+  }
+  EXPECT_EQ(popped, payloads);
+}
+
+TEST(ProtocolTest, FrameReaderRefusesCorruptLengths) {
+  const auto refused = [](std::vector<uint8_t> bytes) {
+    FrameReader reader;
+    std::vector<uint8_t> payload;
+    bool popped = false;
+    // The prefix split over two reads: nothing is judged before byte 4.
+    reader.Append(bytes.data(), 2);
+    EXPECT_TRUE(reader.Pop(&payload, &popped).ok());
+    EXPECT_FALSE(popped);
+    reader.Append(bytes.data() + 2, bytes.size() - 2);
+    const Status status = reader.Pop(&payload, &popped);
+    EXPECT_FALSE(popped);
+    return !status.ok();
+  };
+  // A zero length (no type byte) and one byte over the 1 MiB cap are
+  // refused from the prefix alone; the cap itself is only incomplete.
+  EXPECT_TRUE(refused({0, 0, 0, 0}));
+  const uint32_t over = kMaxFramePayloadBytes + 1;
+  EXPECT_TRUE(refused({static_cast<uint8_t>(over), 0, 0x10, 0}));
+  EXPECT_TRUE(refused({0xFF, 0xFF, 0xFF, 0xFF, 3}));
+  EXPECT_FALSE(refused({0, 0, 0x10, 0, 3}));
+
+  // The outbound side refuses the same lengths before touching a socket.
+  persist::Encoder empty;
+  std::vector<uint8_t> out;
+  EXPECT_FALSE(AppendFrame(empty, &out).ok());
+  EXPECT_FALSE(WriteFrame(Socket(), empty).ok());
+  persist::Encoder huge;
+  const std::vector<uint8_t> big(kMaxFramePayloadBytes + 1, 3);
+  huge.PutBytes(big.data(), big.size());
+  EXPECT_FALSE(AppendFrame(huge, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(ProtocolTest, WriteFrameRoundTripsThroughReadFrame) {
+  // WriteFrame sends prefix and payload in one sendmsg; a payload at the
+  // cap outgrows the socket buffer, so the partial-send path runs too.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const size_t size : {size_t{1}, size_t{300}, size_t{1} << 20}) {
+    std::vector<uint8_t> payload(size);
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 31 + size);
+    }
+    payloads.push_back(payload);
+  }
+  std::thread sender([&writer, &payloads] {
+    for (const std::vector<uint8_t>& payload : payloads) {
+      persist::Encoder enc;
+      enc.PutBytes(payload.data(), payload.size());
+      EXPECT_TRUE(WriteFrame(writer, enc).ok());
+    }
+    writer.Close();
+  });
+  std::vector<std::vector<uint8_t>> received;
+  bool clean_eof = false;
+  while (!clean_eof) {
+    std::vector<uint8_t> got;
+    if (!ReadFrame(reader, &got, &clean_eof).ok()) {
+      reader.ShutdownBoth();  // Unblocks the sender.
+      break;
+    }
+    if (!clean_eof) received.push_back(got);
+  }
+  sender.join();
+  EXPECT_TRUE(clean_eof);
+  EXPECT_EQ(received, payloads);
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 //  4. Protocol discipline: the Hello gate rejects version, config-hash,
 //     duplicate-claim, and out-of-range errors; a diverged stream taints
 //     the run and shutdown refuses to write its snapshot.
+//  5. One event loop serves every stream: streams hold no pool worker,
+//     and hostile streams (a half-written frame, pipelined queries, the
+//     merge head hanging up) neither wedge the loop nor reorder service.
 
 #include "src/server/server.h"
 
@@ -32,6 +35,7 @@
 #include "src/server/protocol.h"
 #include "src/server/socket_io.h"
 #include "src/sim/experiment.h"
+#include "src/sim/merge.h"
 #include "src/structure/index_advisor.h"
 #include "tests/testing/metrics_equal.h"
 
@@ -128,13 +132,9 @@ class ServerIntegrationTest : public ::testing::Test {
     }
     std::vector<std::vector<Query>> plans(generators.size());
     for (uint64_t i = 0; i < count; ++i) {
-      size_t head = 0;
-      for (size_t u = 1; u < generators.size(); ++u) {
-        if (generators[u]->PeekNextArrival() <
-            generators[head]->PeekNextArrival()) {
-          head = u;
-        }
-      }
+      const size_t head = MergeHead(generators.size(), [&](size_t u) {
+        return generators[u]->PeekNextArrival();
+      });
       plans[head].push_back(generators[head]->Next());
     }
     return plans;
@@ -154,21 +154,19 @@ struct HelloReply {
   ErrorMsg error;
 };
 
-Status DoHello(Socket* conn, uint16_t port, uint32_t stream, uint64_t hash,
-               HelloReply* reply, uint32_t version = kProtocolVersion) {
-  Result<Socket> connected = ConnectTcp("127.0.0.1", port);
-  CLOUDCACHE_RETURN_IF_ERROR(connected.status());
-  *conn = std::move(connected).value();
+/// Sends a Hello on an open connection and reads its reply.
+Status Hello(const Socket& conn, uint32_t stream, uint64_t hash,
+             HelloReply* reply, uint32_t version = kProtocolVersion) {
   HelloMsg hello;
   hello.protocol_version = version;
   hello.stream_id = stream;
   hello.config_hash = hash;
   persist::Encoder enc;
   EncodeHello(hello, &enc);
-  CLOUDCACHE_RETURN_IF_ERROR(WriteFrame(*conn, enc));
+  CLOUDCACHE_RETURN_IF_ERROR(WriteFrame(conn, enc));
   std::vector<uint8_t> payload;
   bool clean_eof = false;
-  CLOUDCACHE_RETURN_IF_ERROR(ReadFrame(*conn, &payload, &clean_eof));
+  CLOUDCACHE_RETURN_IF_ERROR(ReadFrame(conn, &payload, &clean_eof));
   if (clean_eof) return Status::IoError("closed during Hello");
   persist::Decoder dec(payload.data(), payload.size());
   MessageType type = MessageType::kHelloAck;
@@ -184,6 +182,14 @@ Status DoHello(Socket* conn, uint16_t port, uint32_t stream, uint64_t hash,
   return DecodeHelloAck(&dec, &reply->ack);
 }
 
+Status DoHello(Socket* conn, uint16_t port, uint32_t stream, uint64_t hash,
+               HelloReply* reply, uint32_t version = kProtocolVersion) {
+  Result<Socket> connected = ConnectTcp("127.0.0.1", port);
+  CLOUDCACHE_RETURN_IF_ERROR(connected.status());
+  *conn = std::move(connected).value();
+  return Hello(*conn, stream, hash, reply, version);
+}
+
 /// A Query exchange's reply: an outcome or a protocol error.
 struct QueryReply {
   bool has_outcome = false;
@@ -191,11 +197,8 @@ struct QueryReply {
   ErrorMsg error;
 };
 
-Status ExchangeQuery(const Socket& conn, const Query& query,
-                     QueryReply* reply) {
-  persist::Encoder enc;
-  EncodeQuery(query, &enc);
-  CLOUDCACHE_RETURN_IF_ERROR(WriteFrame(conn, enc));
+/// Reads the reply to one Query.
+Status ReadQueryReply(const Socket& conn, QueryReply* reply) {
   std::vector<uint8_t> payload;
   bool clean_eof = false;
   CLOUDCACHE_RETURN_IF_ERROR(ReadFrame(conn, &payload, &clean_eof));
@@ -212,6 +215,47 @@ Status ExchangeQuery(const Socket& conn, const Query& query,
   }
   reply->has_outcome = true;
   return DecodeOutcome(&dec, &reply->outcome);
+}
+
+Status ExchangeQuery(const Socket& conn, const Query& query,
+                     QueryReply* reply) {
+  persist::Encoder enc;
+  EncodeQuery(query, &enc);
+  CLOUDCACHE_RETURN_IF_ERROR(WriteFrame(conn, enc));
+  return ReadQueryReply(conn, reply);
+}
+
+/// The framed bytes of one Query, for tests that write raw bytes.
+std::vector<uint8_t> FramedQuery(const Query& query) {
+  persist::Encoder enc;
+  EncodeQuery(query, &enc);
+  std::vector<uint8_t> framed;
+  EXPECT_TRUE(AppendFrame(enc, &framed).ok());
+  return framed;
+}
+
+/// Bounds every recv on `conn`, so a wedged endpoint fails a test
+/// instead of hanging it.
+void SetReadTimeout(const Socket& conn, std::chrono::seconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count());
+  ::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// Reads one frame expected to be a StatsAck.
+Status ReadStatsAck(const Socket& conn, StatsAckMsg* stats) {
+  std::vector<uint8_t> payload;
+  bool clean_eof = false;
+  CLOUDCACHE_RETURN_IF_ERROR(ReadFrame(conn, &payload, &clean_eof));
+  if (clean_eof) return Status::IoError("closed before a StatsAck");
+  persist::Decoder dec(payload.data(), payload.size());
+  MessageType type = MessageType::kStatsAck;
+  CLOUDCACHE_RETURN_IF_ERROR(PeekType(&dec, &type));
+  if (type != MessageType::kStatsAck) {
+    return Status::Internal(std::string("expected StatsAck, got ") +
+                            MessageTypeName(type));
+  }
+  return DecodeStatsAck(&dec, stats);
 }
 
 TEST_F(ServerIntegrationTest, SocketOutcomesMatchExternalDriveReference) {
@@ -587,14 +631,6 @@ TEST_F(ServerIntegrationTest, ShutdownIsRequestedBeforeItsAckArrives) {
                      << " acks arrived before the drain was flagged";
 }
 
-/// Bounds every recv on `conn`, so a wedged endpoint fails a test
-/// instead of hanging it.
-void SetReadTimeout(const Socket& conn, std::chrono::seconds timeout) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count());
-  ::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
 /// One HTTP/1.0 GET against the metrics port; an empty reply when nothing
 /// arrives within `timeout`.
 std::string ScrapeMetrics(uint16_t port, std::chrono::seconds timeout) {
@@ -666,6 +702,314 @@ TEST_F(ServerIntegrationTest, IdleMetricsConnectionDoesNotBlockShutdown) {
   idle.value().Close();  // Frees a wedged server so the test can finish.
   EXPECT_TRUE(prompt) << "Wait() blocked on an idle metrics connection";
   EXPECT_TRUE(waited.get().ok());
+}
+
+TEST_F(ServerIntegrationTest, StreamsDoNotHoldAWorker) {
+  // Regression: each stream connection held a pool worker for its whole
+  // life, blocked at the merge gate, so with one worker the other
+  // streams' Hellos queued behind it and the run never started. Streams
+  // now leave the pool once their HelloAck is out.
+  const uint64_t kQueries = 400;
+  const uint32_t kStreams = 4;
+  const ExperimentConfig config = ActiveConfig(kQueries, kStreams);
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<std::vector<Query>> plans = DrawPlans(config, kQueries);
+
+  // Connected here, driven on another thread: on a timeout this thread
+  // can still kick the sockets and end the test.
+  std::vector<Socket> conns(kStreams);
+  for (Socket& conn : conns) {
+    Result<Socket> connected = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(connected.ok());
+    conn = std::move(connected).value();
+  }
+  const uint64_t hash = server.config_hash();
+  std::future<std::string> driven =
+      std::async(std::launch::async, [&conns, &plans, hash] {
+        for (uint32_t t = 0; t < kStreams; ++t) {
+          HelloReply hello;
+          const Status status = Hello(conns[t], t, hash, &hello);
+          if (!status.ok() || !hello.acked) {
+            return "stream " + std::to_string(t) + " Hello failed";
+          }
+        }
+        std::vector<std::string> failures(kStreams);
+        std::vector<std::thread> threads;
+        for (uint32_t t = 0; t < kStreams; ++t) {
+          threads.emplace_back([&conns, &plans, &failures, t] {
+            for (const Query& query : plans[t]) {
+              QueryReply reply;
+              const Status status = ExchangeQuery(conns[t], query, &reply);
+              if (!status.ok() || !reply.has_outcome) {
+                failures[t] = "stream " + std::to_string(t) + ": " +
+                              (!status.ok() ? status.ToString()
+                                            : reply.error.message);
+                return;
+              }
+            }
+          });
+        }
+        std::string failure;
+        for (std::thread& thread : threads) thread.join();
+        for (const std::string& f : failures) failure += f;
+        return failure;
+      });
+  const bool finished = driven.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  if (!finished) {
+    for (Socket& conn : conns) conn.ShutdownBoth();
+  }
+  const std::string failure = driven.get();
+  EXPECT_TRUE(finished) << kStreams << " streams on one worker never "
+                        << "finished: a stream still holds its worker";
+  EXPECT_EQ(failure, "");
+  for (Socket& conn : conns) conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+  if (finished) {
+    EXPECT_EQ(server.processed(), kQueries);
+  }
+}
+
+TEST_F(ServerIntegrationTest, HalfWrittenQueryBlocksNeitherServiceNorDrain) {
+  // A stream that writes half a Query frame and stalls. The event loop
+  // never blocks on a read, so the other stream is served for as long as
+  // it holds the merge head, a control connection gets Stats, a
+  // subscriber gets its pushes, and Shutdown drains promptly.
+  const uint64_t kQueries = 2'000;
+  const uint32_t kStreams = 2;
+  const ExperimentConfig config = ActiveConfig(kQueries, kStreams);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t hash = server.config_hash();
+
+  // The stalled stream is the one whose first query comes second in the
+  // merge; the other's queries before it can all be served.
+  const std::vector<ResolvedTemplate> resolved =
+      ResolveTemplates(*catalog_, *templates_).value();
+  std::vector<std::unique_ptr<WorkloadGenerator>> streams;
+  for (uint32_t t = 0; t < kStreams; ++t) {
+    streams.push_back(std::make_unique<WorkloadGenerator>(
+        catalog_, resolved,
+        TenantWorkloadOptions(config.workload, config.tenancy, t)));
+  }
+  const auto peek = [&streams](size_t u) {
+    return streams[u]->PeekNextArrival();
+  };
+  const uint32_t served = static_cast<uint32_t>(MergeHead(kStreams, peek));
+  const uint32_t stalled = 1 - served;
+  std::vector<Query> leading;
+  while (MergeHead(kStreams, peek) == served) {
+    leading.push_back(streams[served]->Next());
+  }
+  ASSERT_LT(leading.size(), kQueries);
+
+  Socket control;
+  HelloReply hello;
+  ASSERT_TRUE(
+      DoHello(&control, server.port(), kControlStream, hash, &hello).ok());
+  ASSERT_TRUE(hello.acked);
+  SetReadTimeout(control, std::chrono::seconds(5));
+  Socket watcher;
+  ASSERT_TRUE(
+      DoHello(&watcher, server.port(), kControlStream, hash, &hello).ok());
+  ASSERT_TRUE(hello.acked);
+  SetReadTimeout(watcher, std::chrono::seconds(5));
+  persist::Encoder enc;
+  StatsSubscribeMsg subscribe;
+  subscribe.every = 1;
+  EncodeStatsSubscribe(subscribe, &enc);
+  ASSERT_TRUE(WriteFrame(watcher, enc).ok());
+  StatsAckMsg pushed;
+  ASSERT_TRUE(ReadStatsAck(watcher, &pushed).ok());
+  EXPECT_EQ(pushed.processed, 0u);
+
+  std::vector<Socket> conns(kStreams);
+  for (uint32_t t = 0; t < kStreams; ++t) {
+    ASSERT_TRUE(DoHello(&conns[t], server.port(), t, hash, &hello).ok());
+    ASSERT_TRUE(hello.acked) << "stream " << t;
+    SetReadTimeout(conns[t], std::chrono::seconds(5));
+  }
+  const std::vector<uint8_t> half = FramedQuery(streams[stalled]->Next());
+  ASSERT_TRUE(WriteAll(conns[stalled], half.data(), half.size() / 2).ok());
+
+  for (size_t i = 0; i < leading.size(); ++i) {
+    QueryReply reply;
+    ASSERT_TRUE(ExchangeQuery(conns[served], leading[i], &reply).ok())
+        << "query " << i << " of the live stream went unanswered";
+    ASSERT_TRUE(reply.has_outcome) << reply.error.message;
+    EXPECT_EQ(reply.outcome.global_index, i);
+  }
+  while (pushed.processed < leading.size()) {
+    ASSERT_TRUE(ReadStatsAck(watcher, &pushed).ok())
+        << "no push after " << pushed.processed << " served";
+  }
+
+  enc.Clear();
+  EncodeStats(&enc);
+  ASSERT_TRUE(WriteFrame(control, enc).ok());
+  StatsAckMsg stats;
+  ASSERT_TRUE(ReadStatsAck(control, &stats).ok());
+  EXPECT_EQ(stats.processed, leading.size());
+  EXPECT_EQ(stats.active_streams, kStreams);
+
+  enc.Clear();
+  EncodeShutdown(&enc);
+  ASSERT_TRUE(WriteFrame(control, enc).ok());
+  std::vector<uint8_t> payload;
+  bool clean_eof = false;
+  ASSERT_TRUE(ReadFrame(control, &payload, &clean_eof).ok());
+  ASSERT_FALSE(clean_eof);
+  std::future<Status> waited =
+      std::async(std::launch::async, [&server] { return server.Wait(); });
+  const bool prompt = waited.wait_for(std::chrono::seconds(5)) ==
+                      std::future_status::ready;
+  for (Socket& conn : conns) conn.ShutdownBoth();  // Frees a wedged server.
+  EXPECT_TRUE(prompt) << "the drain waited on the half-written frame";
+  EXPECT_TRUE(waited.get().ok());
+  // The subscriber's stream ends with a final push, then the close.
+  Status read = Status::OK();
+  while ((read = ReadStatsAck(watcher, &pushed)).ok()) {
+  }
+  EXPECT_EQ(pushed.processed, leading.size());
+}
+
+TEST_F(ServerIntegrationTest, PipelinedQueriesAreAnsweredInOrder) {
+  // A client may write several queries before reading: each is parsed
+  // only after the previous reply is flushed, and the outcomes come back
+  // in order, equal to the external-drive reference.
+  const uint64_t kQueries = 300;
+  const ExperimentConfig config = ActiveConfig(kQueries, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Reference ref = MakeReference(config);
+  WorkloadGenerator client_stream(
+      catalog_, ref.resolved,
+      TenantWorkloadOptions(config.workload, config.tenancy, 0));
+  Socket conn;
+  HelloReply hello;
+  ASSERT_TRUE(
+      DoHello(&conn, server.port(), 0, server.config_hash(), &hello).ok());
+  ASSERT_TRUE(hello.acked);
+  SetReadTimeout(conn, std::chrono::seconds(5));
+
+  uint64_t sent = 0;
+  for (size_t batch = 1; sent < kQueries; batch = batch % 17 + 1) {
+    const size_t count =
+        static_cast<size_t>(std::min<uint64_t>(batch, kQueries - sent));
+    std::vector<Query> queries;
+    std::vector<uint8_t> wire;
+    for (size_t i = 0; i < count; ++i) {
+      queries.push_back(client_stream.Next());
+      const std::vector<uint8_t> framed = FramedQuery(queries.back());
+      wire.insert(wire.end(), framed.begin(), framed.end());
+    }
+    ASSERT_TRUE(WriteAll(conn, wire.data(), wire.size()).ok());
+    for (size_t i = 0; i < count; ++i) {
+      QueryReply reply;
+      ASSERT_TRUE(ReadQueryReply(conn, &reply).ok()) << "query " << sent;
+      ASSERT_TRUE(reply.has_outcome) << reply.error.message;
+      const ServedQuery expected = ref.sim->ExternalServe(queries[i]);
+      EXPECT_EQ(reply.outcome.query_id, queries[i].id);
+      EXPECT_EQ(reply.outcome.global_index, sent);
+      EXPECT_EQ(reply.outcome.served, expected.served);
+      EXPECT_EQ(reply.outcome.response_seconds,
+                expected.execution.time_seconds);
+      EXPECT_EQ(reply.outcome.payment_micros, expected.payment.micros());
+      EXPECT_EQ(reply.outcome.profit_micros, expected.profit.micros());
+      EXPECT_EQ(reply.outcome.investments, expected.investments);
+      EXPECT_EQ(reply.outcome.evictions, expected.evictions);
+      ++sent;
+    }
+  }
+
+  conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+  EXPECT_EQ(server.processed(), kQueries);
+  ExpectBitIdenticalMetrics(ref.sim->external_metrics(), server.metrics());
+}
+
+TEST_F(ServerIntegrationTest, MergeHeadHangingUpReleasesTheParkedStreams) {
+  // The merge head's stream closes while the others have a query parked.
+  // Its retirement moves the head, and the loop must serve the survivors
+  // at once — a lost wake-up would leave them parked forever.
+  const uint64_t kQueries = 300;
+  const uint32_t kStreams = 3;
+  const ExperimentConfig config = ActiveConfig(kQueries, kStreams);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Reference ref = MakeReference(config);
+  std::vector<std::unique_ptr<WorkloadGenerator>> streams;
+  for (uint32_t t = 0; t < kStreams; ++t) {
+    streams.push_back(std::make_unique<WorkloadGenerator>(
+        catalog_, ref.resolved,
+        TenantWorkloadOptions(config.workload, config.tenancy, t)));
+  }
+  const size_t head = MergeHead(kStreams, [&streams](size_t u) {
+    return streams[u]->PeekNextArrival();
+  });
+
+  std::vector<Socket> conns(kStreams);
+  for (uint32_t t = 0; t < kStreams; ++t) {
+    HelloReply hello;
+    ASSERT_TRUE(DoHello(&conns[t], server.port(), t, server.config_hash(),
+                        &hello)
+                    .ok());
+    ASSERT_TRUE(hello.acked);
+    SetReadTimeout(conns[t], std::chrono::seconds(5));
+  }
+  std::vector<Query> firsts(kStreams);
+  for (uint32_t t = 0; t < kStreams; ++t) {
+    if (t == head) continue;
+    firsts[t] = streams[t]->Next();
+    const std::vector<uint8_t> framed = FramedQuery(firsts[t]);
+    ASSERT_TRUE(WriteAll(conns[t], framed.data(), framed.size()).ok());
+  }
+  // Give the loop time to park both queries behind the silent head.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server.processed(), 0u);
+  conns[head].Close();
+
+  // The survivors are served in the merge order over the live streams.
+  const size_t first = MergeHead(
+      kStreams, [&firsts](size_t u) { return firsts[u].arrival_time; },
+      [head](size_t u) { return u != head; });
+  std::vector<size_t> order = {first};
+  for (size_t t = 0; t < kStreams; ++t) {
+    if (t != head && t != first) order.push_back(t);
+  }
+  std::vector<QueryReply> replies(kStreams);
+  for (size_t t : order) {
+    ASSERT_TRUE(ReadQueryReply(conns[t], &replies[t]).ok())
+        << "survivor " << t << " was never served after the head closed";
+    ASSERT_TRUE(replies[t].has_outcome) << replies[t].error.message;
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t t = order[i];
+    const ServedQuery expected = ref.sim->ExternalServe(firsts[t]);
+    EXPECT_EQ(replies[t].outcome.query_id, firsts[t].id);
+    EXPECT_EQ(replies[t].outcome.global_index, i);
+    EXPECT_EQ(replies[t].outcome.payment_micros, expected.payment.micros());
+    EXPECT_EQ(replies[t].outcome.profit_micros, expected.profit.micros());
+  }
+
+  for (Socket& conn : conns) conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+  EXPECT_EQ(server.processed(), order.size());
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ struct Args {
   std::string host = "127.0.0.1";
   uint16_t port = server::kDefaultPort;  // 0 = ephemeral.
   std::string port_file;  // Write the bound port here after startup.
-  uint32_t workers = 0;   // 0 = streams + headroom.
+  uint32_t workers = 0;   // 0 = 4 (handshakes + control connections).
   std::string snapshot_path;
   uint64_t checkpoint_every = 0;
   std::string restore;  // "", "auto", or "hard".
@@ -59,7 +59,7 @@ void Usage(const char* argv0) {
       "  --host=ADDR           numeric IPv4 listen address (127.0.0.1)\n"
       "  --port=N              TCP port; 0 binds an ephemeral port (4909)\n"
       "  --port-file=PATH      write the bound port here once listening\n"
-      "  --workers=N           handler threads (0 = streams + headroom)\n"
+      "  --workers=N           Hello/control handler threads (0 = 4)\n"
       "  --snapshot-path=P     snapshot file for shutdown + checkpoints\n"
       "  --checkpoint-every=N  also snapshot every N served queries\n"
       "  --restore[=auto]      resume from the snapshot; bare --restore\n"
