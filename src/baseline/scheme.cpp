@@ -212,7 +212,7 @@ void EconScheme::ChargeExpenditure(Money amount, SimTime now) {
   engine_->OnTick(now);
   // The metered bill lands on the cloud account: the economy's revenue
   // must actually cover it for CR to grow.
-  engine_->mutable_account().ChargeExpenditure(amount, now);
+  engine_->mutable_account().ChargeExpenditure(amount);
 }
 
 void EconScheme::SaveState(persist::Encoder* enc) const {

@@ -2,9 +2,7 @@
 
 #include "src/persist/codec.h"
 #include "src/util/money.h"
-#include "src/util/stats.h"
 #include "src/util/status.h"
-#include "src/util/units.h"
 
 namespace cloudcache {
 
@@ -27,6 +25,9 @@ namespace cloudcache {
 ///                   credit it does not have (policy iii).
 ///
 /// Invariant: credit() == initial + revenue - expenditure - investment.
+/// The account holds only these flows, never a transcript of past credit:
+/// its state, and its share of every snapshot, stays the same size however
+/// long the run. The run's credit timeline is SimMetrics::credit_over_time.
 class CloudAccount {
  public:
   explicit CloudAccount(Money initial_credit)
@@ -36,37 +37,30 @@ class CloudAccount {
   Money credit() const { return credit_; }
 
   /// Deposits a user payment.
-  void DepositRevenue(Money amount, SimTime now);
+  void DepositRevenue(Money amount);
 
   /// Charges a metered infrastructure bill.
-  void ChargeExpenditure(Money amount, SimTime now);
+  void ChargeExpenditure(Money amount);
 
   /// Withdraws the build cost of an investment; fails with
   /// ResourceExhausted if it would overdraw the account.
-  Status WithdrawInvestment(Money amount, SimTime now);
+  Status WithdrawInvestment(Money amount);
 
   Money initial_credit() const { return initial_; }
   Money total_revenue() const { return revenue_; }
   Money total_expenditure() const { return expenditure_; }
   Money total_investment() const { return investment_; }
 
-  /// Credit sampled after every mutation: (time, dollars).
-  const TimeSeries& history() const { return history_; }
-
-  /// Checkpoint support: every flow counter plus the full credit history
-  /// (the history feeds run reports, so a resumed run must carry it).
+  /// Checkpoint support: the credit and every flow counter.
   void SaveState(persist::Encoder* enc) const;
   Status RestoreState(persist::Decoder* dec);
 
  private:
-  void Record(SimTime now) { history_.Add(now, credit_.ToDollars()); }
-
   Money initial_;
   Money credit_;
   Money revenue_;
   Money expenditure_;
   Money investment_;
-  TimeSeries history_;
 };
 
 }  // namespace cloudcache

@@ -336,7 +336,7 @@ void EconomyEngine::SettleExecution(const Query&, const QueryPlan& plan,
         id, now, options_.maintenance_recovery_cap_seconds);
     outcome->amortization_collected += amortizer_.ChargeShare(id);
   }
-  account_.DepositRevenue(payment, now);
+  account_.DepositRevenue(payment);
   outcome->payment = payment;
   outcome->profit = payment - plan.Price();
   CLOUDCACHE_CHECK_GE(outcome->profit.micros(), 0);
@@ -403,7 +403,7 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
     if (options_.conservative_provider && current_credit < build_cost) {
       continue;  // Never gamble credit the cloud does not have.
     }
-    if (!account_.WithdrawInvestment(build_cost, now).ok()) continue;
+    if (!account_.WithdrawInvestment(build_cost).ok()) continue;
 
     // Building an index also ships its absent key columns into the cache
     // (their BuildT is inside Eq. 14), so they materialize alongside it.
@@ -534,7 +534,7 @@ Status EconomyEngine::ForceBuild(const StructureKey& key, SimTime now) {
     return Status::AlreadyExists(key.ToString(*catalog_));
   }
   const Money build_cost = BuildCostNow(id);
-  CLOUDCACHE_RETURN_IF_ERROR(account_.WithdrawInvestment(build_cost, now));
+  CLOUDCACHE_RETURN_IF_ERROR(account_.WithdrawInvestment(build_cost));
   std::vector<StructureId> built = {id};
   if (key.type == StructureType::kIndex) {
     for (ColumnId col : key.columns) {

@@ -26,7 +26,9 @@ namespace persist {
 inline constexpr uint32_t kSnapshotMagic = 0x504B4343;  // "CCKP"
 /// v2: the metrics section's quantile accumulator became the obs-layer
 /// Histogram (sparse log2 buckets) in both SimMetrics and TenantMetrics.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// v3: the cloud account no longer carries a per-mutation credit history,
+/// and each metrics timeline adds its stride level and offer count.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Accumulates named sections and writes the container atomically:
 /// serialize to `<path>.tmp`, flush, then rename over `path`, so a crash

@@ -1,5 +1,6 @@
 #include "src/persist/util_io.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,11 +48,19 @@ void SaveTimeSeries(const TimeSeries& series, Encoder* enc) {
   enc->PutU64(series.size());
   for (double t : series.times()) enc->PutDouble(t);
   for (double v : series.values()) enc->PutDouble(v);
+  enc->PutU32(series.stride_level());
+  enc->PutU64(series.offered());
 }
 
 Status RestoreTimeSeries(Decoder* dec, TimeSeries* series) {
   uint64_t size = 0;
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&size));
+  if (size > series->capacity()) {
+    return Status::InvalidArgument(
+        "snapshot timeline of " + std::to_string(size) +
+        " points exceeds its capacity of " +
+        std::to_string(series->capacity()));
+  }
   std::vector<double> times(size), values(size);
   for (double& t : times) {
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&t));
@@ -59,7 +68,15 @@ Status RestoreTimeSeries(Decoder* dec, TimeSeries* series) {
   for (double& v : values) {
     CLOUDCACHE_RETURN_IF_ERROR(dec->ReadDouble(&v));
   }
-  series->RestoreRaw(std::move(times), std::move(values));
+  uint32_t stride_level = 0;
+  uint64_t offered = 0;
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU32(&stride_level));
+  CLOUDCACHE_RETURN_IF_ERROR(dec->ReadU64(&offered));
+  if (!series->RestoreRaw(std::move(times), std::move(values), stride_level,
+                          offered)) {
+    return Status::InvalidArgument(
+        "snapshot timeline's points, stride level and offer count disagree");
+  }
   return Status::OK();
 }
 

@@ -43,6 +43,11 @@ constexpr int64_t kStopPollMs = 200;
 /// How long the metrics endpoint waits for a client's request head.
 constexpr int64_t kMetricsRequestDeadlineMs = 1000;
 
+/// How long a new connection has to deliver its whole Hello frame. A
+/// Hello occupies a pool worker, so without this bound a few sockets that
+/// never speak would hold every worker and deny service to the rest.
+constexpr int64_t kHelloDeadlineMs = 2000;
+
 /// Reads an HTTP request head from `fd` until the blank line, EOF, or
 /// 8 KiB. False when the deadline or a drain cut the read short: the
 /// endpoint answers one client at a time, so a silent one must not hold
@@ -409,7 +414,12 @@ void CloudCachedServer::HandleConnection(std::shared_ptr<Socket> conn) {
   std::vector<uint8_t> payload;
   bool clean_eof = false;
   HelloMsg hello;
-  const Status read = ReadFrame(*conn, &payload, &clean_eof);
+  ReadLimit limit;
+  limit.deadline = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(kHelloDeadlineMs);
+  limit.stop = &stop_;
+  limit.slice_ms = kStopPollMs;
+  const Status read = ReadFrame(*conn, limit, &payload, &clean_eof);
   if (!read.ok() || clean_eof) {
     UnregisterConnection(conn.get());
     return;

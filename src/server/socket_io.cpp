@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -191,12 +193,28 @@ namespace {
 
 /// Reads exactly `size` bytes. `*clean_eof` is set (and OK returned) only
 /// when the peer closed before the FIRST byte — i.e. at a frame boundary
-/// when called for a length prefix; mid-buffer EOF is an error.
+/// when called for a length prefix; mid-buffer EOF is an error. With a
+/// `limit`, each recv waits for the socket to turn readable in poll slices
+/// first and gives up at the limit's deadline or stop flag.
 Status ReadExact(const Socket& socket, uint8_t* data, size_t size,
-                 bool* clean_eof) {
+                 const ReadLimit* limit, bool* clean_eof) {
   *clean_eof = false;
   size_t got = 0;
   while (got < size) {
+    if (limit != nullptr) {
+      const int64_t left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              limit->deadline - std::chrono::steady_clock::now())
+              .count();
+      if (limit->stop != nullptr && limit->stop->load()) {
+        return Status::IoError("read cut by a drain");
+      }
+      if (left <= 0) return Status::IoError("read deadline passed");
+      pollfd pfd{socket.fd(), POLLIN, 0};
+      const int slice =
+          static_cast<int>(std::min<int64_t>(left, limit->slice_ms));
+      if (::poll(&pfd, 1, slice) <= 0) continue;
+    }
     const ssize_t n = ::recv(socket.fd(), data + got, size - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -214,26 +232,36 @@ Status ReadExact(const Socket& socket, uint8_t* data, size_t size,
   return Status::OK();
 }
 
-}  // namespace
-
-Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
-                 bool* clean_eof) {
+Status ReadFrameLimited(const Socket& socket, const ReadLimit* limit,
+                        std::vector<uint8_t>* payload, bool* clean_eof) {
   payload->clear();
   uint8_t prefix[4];
   CLOUDCACHE_RETURN_IF_ERROR(
-      ReadExact(socket, prefix, sizeof(prefix), clean_eof));
+      ReadExact(socket, prefix, sizeof(prefix), limit, clean_eof));
   if (*clean_eof) return Status::OK();
   const uint32_t length = GetPrefix(prefix);
   CLOUDCACHE_RETURN_IF_ERROR(CheckFrameLength(length));
   payload->resize(length);
   bool mid_eof = false;
   const Status read =
-      ReadExact(socket, payload->data(), payload->size(), &mid_eof);
+      ReadExact(socket, payload->data(), payload->size(), limit, &mid_eof);
   CLOUDCACHE_RETURN_IF_ERROR(read);
   if (mid_eof) {
     return Status::IoError("connection closed between length and payload");
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
+                 bool* clean_eof) {
+  return ReadFrameLimited(socket, nullptr, payload, clean_eof);
+}
+
+Status ReadFrame(const Socket& socket, const ReadLimit& limit,
+                 std::vector<uint8_t>* payload, bool* clean_eof) {
+  return ReadFrameLimited(socket, &limit, payload, clean_eof);
 }
 
 void FrameReader::Append(const uint8_t* data, size_t size) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -73,6 +75,21 @@ Status AppendFrame(const persist::Encoder& payload, std::vector<uint8_t>* out);
 /// (> kMaxFramePayloadBytes), and I/O errors return a Status.
 Status ReadFrame(const Socket& socket, std::vector<uint8_t>* payload,
                  bool* clean_eof);
+
+/// When a bounded read gives up: at `deadline`, or once `*stop` (if
+/// given) is set, which it checks every `slice_ms`.
+struct ReadLimit {
+  std::chrono::steady_clock::time_point deadline;
+  const std::atomic<bool>* stop = nullptr;
+  int64_t slice_ms = 0;
+};
+
+/// ReadFrame bounded by `limit`: an IoError once the limit passes before
+/// the whole frame arrived. It waits in poll and reads only the frame's
+/// own bytes, so the socket keeps its blocking mode and its options, and
+/// bytes the peer sent after the frame stay queued for the next reader.
+Status ReadFrame(const Socket& socket, const ReadLimit& limit,
+                 std::vector<uint8_t>* payload, bool* clean_eof);
 
 /// Incremental frame parser for nonblocking reads: Append whatever bytes
 /// arrived, then Pop complete frames. Applies ReadFrame's refusals — a

@@ -123,7 +123,8 @@ struct SimMetrics {
   uint64_t final_resident_bytes = 0;
   uint32_t final_extra_nodes = 0;
 
-  // --- Timelines (downsampled on report).
+  // --- Timelines: bounded series (TimeSeries::kDefaultCapacity points,
+  // decimated in place past it), downsampled again on report.
   TimeSeries cost_over_time;    // Cumulative operating dollars.
   TimeSeries credit_over_time;  // CR in dollars.
 

@@ -59,8 +59,9 @@ struct SimulatorOptions {
   /// Real infrastructure rates used for metering operating cost,
   /// regardless of what the scheme believes internally.
   PriceList metered_prices = PriceList::AmazonEc2_2009();
-  /// Cumulative-cost / credit timelines keep one point per this many
-  /// queries.
+  /// Cumulative-cost / credit timelines are offered one point per this
+  /// many queries (and the last query); each keeps at most
+  /// TimeSeries::kDefaultCapacity of them, thinning evenly past that.
   uint64_t timeline_stride = 500;
   /// Rent of one rented cluster node (Scheme::RentedNodes) as a multiple
   /// of the node-reservation rate. Irrelevant — and never consulted — for

@@ -58,15 +58,33 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Append-only (time, value) series with down-sampling for reports.
+/// A (time, value) series bounded to `capacity` points, for run timelines.
+///
+/// Every offered point is kept until the series is full. A full series
+/// then keeps every other point and doubles its own stride: from then on
+/// it keeps only offered points whose ordinal is a multiple of
+/// 2^stride_level(). The first point and the newest offered point are
+/// always kept, so a timeline of any run length costs O(capacity) memory
+/// and stays evenly spaced by offer count.
 class TimeSeries {
  public:
-  /// Appends a point; times must be non-decreasing.
+  static constexpr size_t kDefaultCapacity = 4096;
+
+  TimeSeries() : TimeSeries(kDefaultCapacity) {}
+  /// `capacity` must be at least 2.
+  explicit TimeSeries(size_t capacity);
+
+  /// Offers a point; times must be non-decreasing.
   void Add(double time, double value);
 
   size_t size() const { return times_.size(); }
+  size_t capacity() const { return capacity_; }
   const std::vector<double>& times() const { return times_; }
   const std::vector<double>& values() const { return values_; }
+  /// log2 of the stride between kept points, in offered points.
+  uint32_t stride_level() const { return stride_level_; }
+  /// Points offered so far, kept or not.
+  uint64_t offered() const { return offered_; }
 
   /// Last value, or 0 if empty.
   double Last() const { return values_.empty() ? 0.0 : values_.back(); }
@@ -75,14 +93,24 @@ class TimeSeries {
   /// last. Returns the whole series if it is already small enough.
   TimeSeries Downsample(size_t max_points) const;
 
-  /// Replaces the whole series for checkpoint restore; the vectors must be
-  /// equal length with non-decreasing times.
-  void RestoreRaw(std::vector<double> times, std::vector<double> values) {
-    times_ = std::move(times);
-    values_ = std::move(values);
-  }
+  /// Replaces the whole series for checkpoint restore. Returns false, and
+  /// leaves the series as it was, unless the parts are a state this series
+  /// could have reached: equal-length vectors within capacity, and exactly
+  /// the points `offered` offers at `stride_level` keep.
+  bool RestoreRaw(std::vector<double> times, std::vector<double> values,
+                  uint32_t stride_level, uint64_t offered);
 
  private:
+  /// Whether the point offered at `ordinal` is on the current stride.
+  bool OnStride(uint64_t ordinal) const {
+    return (ordinal & ((uint64_t{1} << stride_level_) - 1)) == 0;
+  }
+  /// Keeps every other point and doubles the stride.
+  void Decimate();
+
+  size_t capacity_;
+  uint32_t stride_level_ = 0;
+  uint64_t offered_ = 0;
   std::vector<double> times_;
   std::vector<double> values_;
 };

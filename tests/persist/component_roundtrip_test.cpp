@@ -27,6 +27,8 @@ namespace {
 
 using persist::Decoder;
 using persist::Encoder;
+using persist::RestoreTimeSeries;
+using persist::SaveTimeSeries;
 
 TEST(RegretLedgerPersistTest, RoundTripPreservesEveryEntry) {
   RegretLedger ledger;
@@ -184,10 +186,9 @@ TEST(ElasticityControllerPersistTest, StreaksAndCooldownSurviveRestore) {
 
 TEST(AccountPersistTest, BooksBalanceAfterRestore) {
   CloudAccount account(Money::FromDollars(100.0));
-  account.DepositRevenue(Money::FromDollars(3.5), 1.0);
-  account.ChargeExpenditure(Money::FromMicros(123'456), 2.0);
-  ASSERT_TRUE(
-      account.WithdrawInvestment(Money::FromDollars(10.0), 3.0).ok());
+  account.DepositRevenue(Money::FromDollars(3.5));
+  account.ChargeExpenditure(Money::FromMicros(123'456));
+  ASSERT_TRUE(account.WithdrawInvestment(Money::FromDollars(10.0)).ok());
 
   Encoder enc;
   account.SaveState(&enc);
@@ -207,7 +208,42 @@ TEST(AccountPersistTest, BooksBalanceAfterRestore) {
             (twin.initial_credit() + twin.total_revenue() -
              twin.total_expenditure() - twin.total_investment())
                 .micros());
-  EXPECT_EQ(twin.history().size(), account.history().size());
+  EXPECT_EQ(twin.initial_credit().micros(), account.initial_credit().micros());
+}
+
+TEST(TimeSeriesPersistTest, SaveRestoreContinueMatchesTheUninterruptedRun) {
+  TimeSeries whole(8);
+  TimeSeries first(8);
+  for (int i = 0; i < 37; ++i) {
+    whole.Add(i, 0.5 * i);
+    first.Add(i, 0.5 * i);
+  }
+  Encoder enc;
+  SaveTimeSeries(first, &enc);
+  TimeSeries resumed(8);
+  Decoder dec(enc.buffer().data(), enc.size());
+  ASSERT_TRUE(RestoreTimeSeries(&dec, &resumed).ok());
+  EXPECT_TRUE(dec.AtEnd());
+  for (int i = 37; i < 300; ++i) {
+    whole.Add(i, 0.5 * i);
+    resumed.Add(i, 0.5 * i);
+  }
+  EXPECT_EQ(resumed.times(), whole.times());
+  EXPECT_EQ(resumed.values(), whole.values());
+  EXPECT_EQ(resumed.stride_level(), whole.stride_level());
+}
+
+TEST(TimeSeriesPersistTest, OversizedTimelineIsRejected) {
+  TimeSeries big(16);
+  for (int i = 0; i < 16; ++i) big.Add(i, i);
+  Encoder enc;
+  SaveTimeSeries(big, &enc);
+  TimeSeries small(8);
+  Decoder dec(enc.buffer().data(), enc.size());
+  const Status restored = RestoreTimeSeries(&dec, &small);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+      << restored.ToString();
+  EXPECT_EQ(small.size(), 0u);
 }
 
 TEST(RngPersistTest, RestoredStreamContinuesExactly) {

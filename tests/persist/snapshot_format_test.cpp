@@ -17,7 +17,11 @@
 //       --checkpoint-path=tests/persist/testdata/<file>
 //       --checkpoint-every=<every> --crash-after=<every>
 //
-// which writes the snapshot at the first boundary and exits 3.
+// which writes the snapshot at the first boundary and exits 3. Before
+// regenerating, copy the outgoing single_stream.snap over the old-format
+// fixture (v<old version>_single_stream.snap, which replaces the one
+// before it), so the refusal of the previous format stays pinned here and
+// by the tools/OldSnapshot.* checks in tests/CMakeLists.txt.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +218,18 @@ TEST(SnapshotFormatTest, SerialPinsResaveByteForByte) {
     EXPECT_TRUE(ReadBytes(resaved) == pinned)
         << "re-saved snapshot differs from the committed pin";
   }
+}
+
+TEST(SnapshotFormatTest, OldFormatIsRefusedNamingItsVersion) {
+  // single_stream.snap as format v2 wrote it (v3 dropped the account's
+  // credit history and added the timelines' stride): refused up front,
+  // before any section is decoded.
+  Result<persist::SnapshotReader> reader = persist::SnapshotReader::FromFile(
+      std::string(CLOUDCACHE_TESTDATA_DIR) + "/v2_single_stream.snap");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reader.status().message().find("version 2"), std::string::npos)
+      << reader.status().ToString();
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 //  5. One event loop serves every stream: streams hold no pool worker,
 //     and hostile streams (a half-written frame, pipelined queries, the
 //     merge head hanging up) neither wedge the loop nor reorder service.
+//  6. A Hello has a deadline: silent or half-sent handshakes are closed,
+//     so they cannot hold the pool's workers against later clients.
 
 #include "src/server/server.h"
 
@@ -1010,6 +1012,123 @@ TEST_F(ServerIntegrationTest, MergeHeadHangingUpReleasesTheParkedStreams) {
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
   EXPECT_EQ(server.processed(), order.size());
+}
+
+TEST_F(ServerIntegrationTest, IdleSocketsDoNotDenyHellos) {
+  // Regression: a Hello was read with a blocking recv on a pool worker,
+  // so one silent socket per worker (four by default) held the whole pool
+  // and no later client was ever answered. Each Hello now has a deadline.
+  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Socket> idle(4);
+  for (Socket& conn : idle) {
+    Result<Socket> connected = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(connected.ok());
+    conn = std::move(connected).value();
+    SetReadTimeout(conn, std::chrono::seconds(8));
+  }
+  // Let the accept loop hand every idle socket to a worker first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  Result<Socket> fifth = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fifth.ok());
+  SetReadTimeout(fifth.value(), std::chrono::seconds(8));
+  HelloReply hello;
+  const Status status =
+      Hello(fifth.value(), 0, server.config_hash(), &hello);
+  EXPECT_TRUE(status.ok()) << "the fifth client's Hello was never "
+                           << "answered: " << status.ToString();
+  EXPECT_TRUE(hello.acked) << hello.error.message;
+  // The silent sockets were closed by the server, not served forever.
+  for (Socket& conn : idle) {
+    if (!status.ok()) break;  // Each recv would wait out its timeout.
+    char byte = 0;
+    EXPECT_EQ(::recv(conn.fd(), &byte, 1, 0), 0);
+  }
+
+  for (Socket& conn : idle) conn.Close();
+  fifth.value().Close();
+  server.RequestShutdown();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerIntegrationTest, HalfSentHelloIsClosedAfterTheDeadline) {
+  // A client that sends the length prefix and part of its Hello, then
+  // stalls, loses the connection at the Hello deadline; the server keeps
+  // answering other clients.
+  const ExperimentConfig config = ActiveConfig(100, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  HelloMsg msg;
+  msg.protocol_version = kProtocolVersion;
+  msg.stream_id = 0;
+  msg.config_hash = server.config_hash();
+  persist::Encoder enc;
+  EncodeHello(msg, &enc);
+  std::vector<uint8_t> framed;
+  ASSERT_TRUE(AppendFrame(enc, &framed).ok());
+  Result<Socket> stalled = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(stalled.ok());
+  SetReadTimeout(stalled.value(), std::chrono::seconds(8));
+  const size_t half = framed.size() / 2;
+  ASSERT_GT(half, 4u);
+  ASSERT_TRUE(WriteAll(stalled.value(), framed.data(), half).ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  char byte = 0;
+  const ssize_t got = ::recv(stalled.value().fd(), &byte, 1, 0);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(got, 0) << "the half-sent Hello was never closed";
+  EXPECT_LT(waited, std::chrono::seconds(8));
+
+  // The stream the stalled client meant to claim is still free.
+  Socket conn;
+  HelloReply hello;
+  ASSERT_TRUE(DoHello(&conn, server.port(), 0, server.config_hash(), &hello)
+                  .ok());
+  EXPECT_TRUE(hello.acked) << hello.error.message;
+
+  stalled.value().Close();
+  conn.Close();
+  server.RequestShutdown();
+  EXPECT_TRUE(server.Wait().ok());
+}
+
+TEST_F(ServerIntegrationTest, HelloDeadlineEndsAtTheAck) {
+  // The Hello deadline bounds the handshake only: a stream that waits
+  // past it before its first query is still served.
+  const uint64_t kQueries = 3;
+  const ExperimentConfig config = ActiveConfig(kQueries, /*tenants=*/1);
+  ServerOptions options;
+  options.port = 0;
+  CloudCachedServer server(catalog_, templates_, &config, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<std::vector<Query>> plans = DrawPlans(config, kQueries);
+
+  Socket conn;
+  HelloReply hello;
+  ASSERT_TRUE(DoHello(&conn, server.port(), 0, server.config_hash(), &hello)
+                  .ok());
+  ASSERT_TRUE(hello.acked) << hello.error.message;
+  SetReadTimeout(conn, std::chrono::seconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  for (const Query& query : plans[0]) {
+    QueryReply reply;
+    ASSERT_TRUE(ExchangeQuery(conn, query, &reply).ok());
+    EXPECT_TRUE(reply.has_outcome) << reply.error.message;
+  }
+
+  conn.Close();
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+  EXPECT_EQ(server.processed(), kQueries);
 }
 
 }  // namespace

@@ -106,5 +106,54 @@ TEST(TimeSeriesTest, DownsampleNoOpWhenSmall) {
   EXPECT_EQ(ts.Downsample(10).size(), 2u);
 }
 
+TEST(TimeSeriesTest, BoundedSeriesNeverExceedsItsCapacity) {
+  TimeSeries ts(8);
+  for (int i = 0; i < 1000; ++i) {
+    ts.Add(i, -i);
+    ASSERT_LE(ts.size(), 8u) << "after offer " << i;
+    // Decimation keeps the first point and the newest one.
+    EXPECT_EQ(ts.times().front(), 0.0);
+    EXPECT_EQ(ts.times().back(), static_cast<double>(i));
+    EXPECT_EQ(ts.Last(), static_cast<double>(-i));
+  }
+  EXPECT_EQ(ts.offered(), 1000u);
+  EXPECT_GT(ts.stride_level(), 0u);
+}
+
+TEST(TimeSeriesTest, DecimationKeepsTheStrideEvenlySpaced) {
+  TimeSeries ts(8);
+  for (int i = 0; i < 77; ++i) ts.Add(i, 0.0);
+  // Every kept point but the newest sits on the series' own stride.
+  const double stride = static_cast<double>(1u << ts.stride_level());
+  for (size_t k = 0; k + 1 < ts.size(); ++k) {
+    EXPECT_EQ(ts.times()[k], static_cast<double>(k) * stride) << k;
+  }
+  EXPECT_EQ(ts.times().back(), 76.0);
+}
+
+TEST(TimeSeriesTest, SeriesWithinCapacityKeepsEveryPoint) {
+  TimeSeries ts(8);
+  for (int i = 0; i < 8; ++i) ts.Add(i, i);
+  EXPECT_EQ(ts.size(), 8u);
+  EXPECT_EQ(ts.stride_level(), 0u);
+}
+
+TEST(TimeSeriesTest, RestoreRefusesPartsNoSeriesCouldReach) {
+  TimeSeries ts(8);
+  for (int i = 0; i < 20; ++i) ts.Add(i, i);
+  TimeSeries twin(8);
+  // Wrong offer count for the points and stride.
+  EXPECT_FALSE(twin.RestoreRaw(ts.times(), ts.values(), ts.stride_level(),
+                               ts.offered() + 4));
+  // Over capacity.
+  std::vector<double> many(9, 0.0);
+  EXPECT_FALSE(twin.RestoreRaw(many, many, 0, 9));
+  // Unequal lengths.
+  EXPECT_FALSE(twin.RestoreRaw({0.0}, {}, 0, 1));
+  EXPECT_EQ(twin.size(), 0u);
+  EXPECT_TRUE(twin.RestoreRaw(ts.times(), ts.values(), ts.stride_level(),
+                              ts.offered()));
+}
+
 }  // namespace
 }  // namespace cloudcache
