@@ -524,6 +524,7 @@ void EconomyEngine::EvictFailedStructures(SimTime now,
 }
 
 void EconomyEngine::OnTick(SimTime now) {
+  obs::ScopedStageTimer timer(obs::Stage::kFailureScan);
   ActivatePending(now);
   EvictFailedStructures(now, nullptr);
 }
@@ -596,8 +597,11 @@ QueryOutcome EconomyEngine::OnQuery(const Query& query,
   }
   outcome.evictions = std::move(tick_evictions_);
   tick_evictions_.clear();
-  ActivatePending(now);
-  EvictFailedStructures(now, &outcome);
+  {
+    obs::ScopedStageTimer timer(obs::Stage::kFailureScan);
+    ActivatePending(now);
+    EvictFailedStructures(now, &outcome);
+  }
 
   // The whole decision pipeline below runs on reused buffers (the
   // enumerator's shared per-template plan set plus the economy's index

@@ -7,6 +7,8 @@ namespace obs {
 
 const char* StageName(Stage stage) {
   switch (stage) {
+    case Stage::kFailureScan:
+      return "failure-scan";
     case Stage::kEnumerate:
       return "enumerate";
     case Stage::kSkyline:
@@ -38,14 +40,14 @@ std::string StageProfiler::FormatTable() const {
   }
   std::string out;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-10s %12s %12s %10s %7s\n", "stage",
+  std::snprintf(line, sizeof(line), "%-12s %12s %12s %10s %7s\n", "stage",
                 "calls", "total_ms", "ns/call", "share");
   out += line;
   for (int i = 0; i < kNumStages; ++i) {
     const Stage stage = static_cast<Stage>(i);
     const uint64_t n = count(stage);
     const uint64_t ns = nanos(stage);
-    std::snprintf(line, sizeof(line), "%-10s %12llu %12.3f %10.0f %6.1f%%\n",
+    std::snprintf(line, sizeof(line), "%-12s %12llu %12.3f %10.0f %6.1f%%\n",
                   StageName(stage), static_cast<unsigned long long>(n),
                   static_cast<double>(ns) / 1e6,
                   n ? static_cast<double>(ns) / static_cast<double>(n) : 0.0,

@@ -8,14 +8,16 @@
 namespace cloudcache {
 namespace obs {
 
-/// Decision-loop stages of EconomyEngine::OnQuery, in pipeline order.
+/// Decision-loop stages of EconomyEngine, in pipeline order. The failure
+/// scan also runs outside OnQuery (OnTick, before each metered charge).
 enum class Stage : int {
-  kEnumerate = 0,  // Plan enumeration over the structure pool.
-  kSkyline,        // Cost/price skyline filtering of candidate plans.
-  kPrice,          // Carried-charge pricing of the candidate set.
-  kSettle,         // Plan selection, settlement, regret, investment.
+  kFailureScan = 0,  // Build activation and maintenance-failure eviction.
+  kEnumerate,        // Plan enumeration over the structure pool.
+  kSkyline,          // Cost/price skyline filtering of candidate plans.
+  kPrice,            // Carried-charge pricing of the candidate set.
+  kSettle,           // Plan selection, settlement, regret, investment.
 };
-inline constexpr int kNumStages = 4;
+inline constexpr int kNumStages = 5;
 
 const char* StageName(Stage stage);
 

@@ -67,7 +67,8 @@ TEST_F(StageProfilerTest, FormatTableNamesEveryStage) {
   StageProfiler::Instance().Record(Stage::kPrice, 500);
   StageProfiler::Instance().Record(Stage::kSettle, 500);
   const std::string table = StageProfiler::Instance().FormatTable();
-  for (const char* name : {"enumerate", "skyline", "price", "settle"}) {
+  for (const char* name :
+       {"failure-scan", "enumerate", "skyline", "price", "settle"}) {
     EXPECT_NE(table.find(name), std::string::npos) << name;
   }
   EXPECT_NE(table.find("50.0%"), std::string::npos);  // Enumerate share.
