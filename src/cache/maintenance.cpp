@@ -1,6 +1,8 @@
 #include "src/cache/maintenance.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -12,8 +14,73 @@ void MaintenanceLedger::Register(StructureId id, const StructureKey& key,
                                  double failure_scale) {
   CLOUDCACHE_CHECK(!IsTracked(id));
   CLOUDCACHE_CHECK_GE(failure_scale, 1.0);
-  clocks_[id] = Clock{key, now, build_cost, failure_scale,
-                      StructureBytes(model_->catalog(), key)};
+  Clock clock;
+  clock.key = key;
+  clock.paid_until = now;
+  clock.build_cost = build_cost;
+  clock.failure_scale = failure_scale;
+  clock.bytes = StructureBytes(model_->catalog(), key);
+  Track(id, std::move(clock));
+}
+
+void MaintenanceLedger::Track(StructureId id, Clock clock) {
+  clock.failure_gap = FailureGap(clock);
+  next_due_ = std::min(next_due_, Deadline(clock));
+  clocks_.emplace(id, std::move(clock));
+}
+
+double MaintenanceLedger::FailureGap(const Clock& clock) const {
+  const double rate = model_->MaintenanceRate(clock.key, clock.bytes);
+  if (!(rate > 0.0)) return std::numeric_limits<double>::infinity();
+  // The economy's threshold, computed the way it does: the recorded build
+  // cost, or — for a companion column recorded at zero — the structure's
+  // own build cost, which for columns and CPU nodes does not depend on
+  // residency. A zero-cost index's would, so it keeps the floor of zero.
+  Money build_cost = clock.build_cost;
+  if (build_cost.IsZero()) {
+    if (clock.key.type == StructureType::kColumn) {
+      build_cost = model_->ColumnBuildCost(clock.key.columns.front());
+    } else if (clock.key.type == StructureType::kCpuNode) {
+      build_cost = model_->CpuNodeBuildCost();
+    }
+  }
+  Money threshold = build_cost * rule_.fraction;
+  if (rule_.scaled && clock.failure_scale != 1.0) {
+    threshold = threshold * clock.failure_scale;
+  }
+  // Owed rounds the rent to whole micro-dollars, so it first exceeds a
+  // threshold of T micros once the unrounded rent reaches T + 0.5 (and it
+  // must also be non-zero, hence the clamp). The relative margin absorbs
+  // the difference between rate * gap and the pricer's own floating-point
+  // evaluation of the same product.
+  constexpr double kMargin = 1e-6;
+  const double micros =
+      static_cast<double>(std::max<int64_t>(threshold.micros(), 0)) + 0.5;
+  return micros / (rate * 1e6) * (1.0 - kMargin);
+}
+
+SimTime MaintenanceLedger::Deadline(const Clock& clock) {
+  // The last term covers the rounding of paid_until + gap here and of
+  // now - paid_until in the pricer, which scale with the clock's time
+  // rather than with the gap.
+  return clock.paid_until + clock.failure_gap -
+         std::abs(clock.paid_until) * 1e-12;
+}
+
+void MaintenanceLedger::CollectDue(SimTime now,
+                                   std::vector<StructureId>* due) const {
+  due->clear();
+  for (const auto& [id, clock] : clocks_) {
+    if (Deadline(clock) <= now) due->push_back(id);
+  }
+  std::sort(due->begin(), due->end());
+}
+
+void MaintenanceLedger::RefreshNextDue() {
+  next_due_ = std::numeric_limits<SimTime>::infinity();
+  for (const auto& entry : clocks_) {
+    next_due_ = std::min(next_due_, Deadline(entry.second));
+  }
 }
 
 double MaintenanceLedger::FailureScale(StructureId id) const {
@@ -79,6 +146,7 @@ void MaintenanceLedger::SaveState(persist::Encoder* enc) const {
 Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
                                        const StructureRegistry& registry) {
   clocks_.clear();
+  next_due_ = std::numeric_limits<SimTime>::infinity();
   uint64_t count = 0;
   CLOUDCACHE_RETURN_IF_ERROR(dec->ReadLength(&count));
   for (uint64_t i = 0; i < count; ++i) {
@@ -103,7 +171,7 @@ Status MaintenanceLedger::RestoreState(persist::Decoder* dec,
           "snapshot maintenance clock has a failure scale below 1.0");
     }
     clock.bytes = registry.bytes(id);
-    clocks_.emplace(id, std::move(clock));
+    Track(id, std::move(clock));
   }
   return Status::OK();
 }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cost/cost_model.h"
 #include "src/persist/codec.h"
@@ -32,9 +34,31 @@ namespace cloudcache {
 /// build time (tenant-aware eviction widens the failure threshold of
 /// broadly-backed structures) and defaults to 1.0, in which case the
 /// failure test is byte-for-byte the pre-tenancy one.
+///
+/// Failure deadlines. Each clock's failure threshold is fixed when it is
+/// registered, and its owed rent only grows with the unpaid gap, so every
+/// clock carries a conservative earliest-failure time: `paid_until` plus
+/// the shortest gap whose rent could exceed the threshold, less a small
+/// margin. Pay only moves a deadline later, so `NextDue()` — the earliest
+/// deadline as of the last Register or RefreshNextDue — stays a lower
+/// bound on every deadline until the economy refreshes it. Deadlines are
+/// derived state: they are never saved, and RestoreState rebuilds them.
 class MaintenanceLedger {
  public:
+  /// The economy's failure rule (footnote 3), restated so the ledger can
+  /// date each clock's earliest possible failure; the ledger itself never
+  /// evicts anything.
+  struct FailureRule {
+    /// EconomyOptions::maintenance_failure_fraction.
+    double fraction = 0.0;
+    /// Whether the stamped failure_scale widens the threshold
+    /// (EconomyOptions::tenant_weighted_eviction).
+    bool scaled = false;
+  };
+
   explicit MaintenanceLedger(const CostModel* model) : model_(model) {}
+  MaintenanceLedger(const CostModel* model, FailureRule rule)
+      : model_(model), rule_(rule) {}
 
   /// Starts the clock for a freshly built structure. `build_cost` is
   /// retained as the reference for the failure threshold (a structure
@@ -75,22 +99,17 @@ class MaintenanceLedger {
 
   bool IsTracked(StructureId id) const { return clocks_.count(id) > 0; }
 
-  /// True if `id` is untracked or its clock is paid up to `now` — an O(1)
-  /// pre-check the per-query failure scan runs before pricing any rent.
-  bool PaidThrough(StructureId id, SimTime now) const {
-    auto it = clocks_.find(id);
-    return it == clocks_.end() || it->second.paid_until >= now;
-  }
+  /// No clock can fail before this time: the failure scan may skip any
+  /// call with `now < NextDue()`.
+  SimTime NextDue() const { return next_due_; }
 
-  /// True if no tracked structure owes anything at `now`: one cheap pass
-  /// over the clocks, no Money math. Lets the economy skip the
-  /// structure-failure scan entirely on quiet queries.
-  bool NothingOwedBy(SimTime now) const {
-    for (const auto& entry : clocks_) {
-      if (entry.second.paid_until < now) return false;
-    }
-    return true;
-  }
+  /// The ids whose failure deadline is at or before `now`, ascending.
+  /// Only these can have failed; every other clock is certain not to.
+  void CollectDue(SimTime now, std::vector<StructureId>* due) const;
+
+  /// Recomputes NextDue() as the earliest deadline of the current clocks
+  /// (+infinity when none can ever fail).
+  void RefreshNextDue();
 
   /// Checkpoint support: clocks are saved sorted by id (the map itself has
   /// no deterministic order); restore rederives each clock's key and byte
@@ -110,6 +129,8 @@ class MaintenanceLedger {
     /// per-query rent pricers skip the catalog walk (the footprint of a
     /// registered structure never changes).
     uint64_t bytes = 0;
+    /// Unpaid seconds this clock can run without failing (see FailureGap).
+    double failure_gap = 0.0;
   };
 
   /// Rent accrued over `gap` seconds, priced through the cached footprint.
@@ -117,8 +138,21 @@ class MaintenanceLedger {
     return model_->MaintenanceCostSized(clock.key, clock.bytes, gap);
   }
 
+  /// A lower bound on the unpaid seconds after which the clock's rent can
+  /// exceed its failure threshold (+infinity at a zero rent rate).
+  double FailureGap(const Clock& clock) const;
+
+  /// The clock's earliest possible failure time.
+  static SimTime Deadline(const Clock& clock);
+
+  /// Caches the footprint and failure gap of a freshly filled clock and
+  /// lowers NextDue() to its deadline.
+  void Track(StructureId id, Clock clock);
+
   const CostModel* model_;
+  FailureRule rule_;
   std::unordered_map<StructureId, Clock> clocks_;
+  SimTime next_due_ = std::numeric_limits<SimTime>::infinity();
 };
 
 }  // namespace cloudcache

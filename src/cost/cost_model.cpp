@@ -354,4 +354,16 @@ Money CostModel::MaintenanceCostSized(const StructureKey& key,
   return Money();
 }
 
+double CostModel::MaintenanceRate(const StructureKey& key,
+                                  uint64_t bytes) const {
+  switch (key.type) {
+    case StructureType::kCpuNode:
+      return prices_->cpu_second_dollars * prices_->cpu_reserve_fraction;
+    case StructureType::kColumn:
+    case StructureType::kIndex:
+      return static_cast<double>(bytes) * prices_->disk_byte_second_dollars;
+  }
+  return 0.0;
+}
+
 }  // namespace cloudcache

@@ -190,6 +190,11 @@ class CostModel {
   Money MaintenanceCostSized(const StructureKey& key, uint64_t bytes,
                              double seconds) const;
 
+  /// The slope of MaintenanceCostSized in dollars per second, before its
+  /// rounding to whole micro-dollars (0 when the structure accrues no
+  /// rent).
+  double MaintenanceRate(const StructureKey& key, uint64_t bytes) const;
+
   /// The synthetic sort query whose execution cost approximates index
   /// construction ("select <keys> from T order by <keys>", Section V-C).
   Query MakeIndexBuildQuery(const StructureKey& index) const;

@@ -48,7 +48,9 @@ EconomyEngine::EconomyEngine(const Catalog* catalog,
       enumerator_(decision_model, registry, std::move(enumerator_options)),
       cache_(registry),
       pool_(options.candidate_pool_capacity),
-      maintenance_(decision_model),
+      maintenance_(decision_model,
+                   {options.maintenance_failure_fraction,
+                    options.tenant_weighted_eviction}),
       account_(options.initial_credit),
       admission_(options.admission),
       amortizer_(options.amortization_horizon) {
@@ -474,15 +476,18 @@ void EconomyEngine::MaybeInvest(SimTime now, QueryOutcome* outcome) {
 
 void EconomyEngine::EvictFailedStructures(SimTime now,
                                           QueryOutcome* outcome) {
-  // This runs before every query; skip it outright when no tracked clock
-  // has fallen behind, and visit residents in place (ascending id, as
-  // Residents() returned them) instead of copying the list. Removing the
-  // visited id inside the loop is safe: Remove only flips its bit.
-  if (maintenance_.NothingOwedBy(now)) return;
-  cache_.ForEachResident([&](StructureId id) {
-    if (maintenance_.PaidThrough(id, now)) return;
+  // This runs up to three times per query. No clock can fail before the
+  // ledger's earliest deadline, so quiet calls stop at one comparison.
+  // Past it, only the clocks whose own deadline has passed can have
+  // failed; they are judged by the exact predicate below in ascending id
+  // order — the order a walk over every resident would visit them — so
+  // the decisions are the same as judging every resident.
+  if (now < maintenance_.NextDue()) return;
+  maintenance_.CollectDue(now, &due_scratch_);
+  for (StructureId id : due_scratch_) {
+    if (!cache_.IsResident(id)) continue;
     const Money owed = maintenance_.Owed(id, now);
-    if (owed.IsZero()) return;
+    if (owed.IsZero()) continue;
     Money build_cost = maintenance_.BuildCostOf(id);
     if (build_cost.IsZero()) {
       // Column shipped as part of an index build: judge it by what it
@@ -520,7 +525,8 @@ void EconomyEngine::EvictFailedStructures(SimTime now,
             .F64("threshold_dollars", threshold.ToDollars());
       }
     }
-  });
+  }
+  maintenance_.RefreshNextDue();
 }
 
 void EconomyEngine::OnTick(SimTime now) {

@@ -267,7 +267,7 @@ class EconomyEngine {
   /// Checks Eq. 3 over all candidates and builds what qualifies.
   void MaybeInvest(SimTime now, QueryOutcome* outcome);
   /// Evicts structures whose unpaid maintenance exceeds the failure
-  /// threshold.
+  /// threshold, judging only the clocks past their failure deadline.
   void EvictFailedStructures(SimTime now, QueryOutcome* outcome);
   /// Build-cost of `id` given current column residency.
   Money BuildCostNow(StructureId id) const;
@@ -332,6 +332,8 @@ class EconomyEngine {
   /// through); drained into the next OnQuery's outcome so metrics see
   /// every eviction.
   std::vector<StructureId> tick_evictions_;
+  /// EvictFailedStructures' reused list of clocks past their deadline.
+  std::vector<StructureId> due_scratch_;
   /// Per-query scratch, reused across OnQuery calls so the steady-state
   /// decision loop allocates nothing: the skyline survivor indices, the
   /// skyline's key buffers, and the executable / affordable-executable
