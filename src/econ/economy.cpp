@@ -176,18 +176,7 @@ void EconomyEngine::PriceCarriedCharges(PlanSet* set, SimTime now) const {
     hypo_epoch_stamp_.resize(universe, 0);
     hypo_share_.resize(universe, Money());
   }
-  // Node variants of one plan family carry the same structure list and
-  // arrive consecutively; their carried sum is identical (each structure's
-  // memoized value is stable within this call), so it is computed once per
-  // family and copied forward.
-  const std::vector<StructureId>* prev_structures = nullptr;
-  Money prev_carried;
   for (QueryPlan& plan : set->plans) {
-    if (prev_structures != nullptr &&
-        plan.structures == *prev_structures) {
-      plan.carried_charges = prev_carried;
-      continue;
-    }
     Money carried;
     for (StructureId id : plan.structures) {
       if (charge_stamp_[id] != tick) {
@@ -213,8 +202,6 @@ void EconomyEngine::PriceCarriedCharges(PlanSet* set, SimTime now) const {
       carried += charge_value_[id];
     }
     plan.carried_charges = carried;
-    prev_structures = &plan.structures;
-    prev_carried = carried;
   }
 }
 
