@@ -1,6 +1,8 @@
 #include "src/persist/snapshot.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 namespace cloudcache {
@@ -107,7 +109,11 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::vector<uint8_t> bytes) {
 Result<SnapshotReader> SnapshotReader::FromFile(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
-    return Status::NotFound("snapshot file not found: " + path);
+    if (errno == ENOENT) {
+      return Status::NotFound("snapshot file not found: " + path);
+    }
+    return Status::IoError("cannot open snapshot file " + path + ": " +
+                           std::strerror(errno));
   }
   std::vector<uint8_t> bytes;
   uint8_t chunk[1 << 16];
@@ -148,6 +154,23 @@ Result<Decoder> SnapshotReader::Section(const std::string& name) const {
     return Status::NotFound("snapshot has no section '" + name + "'");
   }
   return Decoder(bytes_.data() + it->second.offset, it->second.size);
+}
+
+void SetAsideRefusedSnapshot(const char* who, const std::string& path,
+                             const Status& why) {
+  const std::string kept = path + ".refused";
+  if (std::rename(path.c_str(), kept.c_str()) == 0) {
+    std::fprintf(stderr,
+                 "%s: snapshot %s refused (%s); starting fresh, the refused "
+                 "snapshot is kept as %s\n",
+                 who, path.c_str(), why.ToString().c_str(), kept.c_str());
+  } else {
+    std::fprintf(stderr,
+                 "%s: snapshot %s refused (%s); starting fresh, and it "
+                 "could not be renamed to %s: %s\n",
+                 who, path.c_str(), why.ToString().c_str(), kept.c_str(),
+                 std::strerror(errno));
+  }
 }
 
 }  // namespace persist

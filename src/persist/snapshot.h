@@ -69,6 +69,8 @@ class SnapshotWriter {
 class SnapshotReader {
  public:
   static Result<SnapshotReader> FromBytes(std::vector<uint8_t> bytes);
+  /// NotFound only when no file exists at `path`; every other failure to
+  /// open or read it is an IoError.
   static Result<SnapshotReader> FromFile(const std::string& path);
 
   uint64_t config_hash() const { return config_hash_; }
@@ -99,6 +101,14 @@ class SnapshotReader {
   uint64_t config_hash_ = 0;
   std::map<std::string, Span> sections_;
 };
+
+/// What a fall-back restore (Restore::kAuto) does with a snapshot it
+/// refused: reports `path` and `why` on stderr, prefixed by `who`, and
+/// renames the file to `<path>.refused`, so the fresh run that follows
+/// cannot overwrite it. A missing snapshot is not refused — callers start
+/// fresh without calling this.
+void SetAsideRefusedSnapshot(const char* who, const std::string& path,
+                             const Status& why);
 
 }  // namespace persist
 }  // namespace cloudcache

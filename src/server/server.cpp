@@ -255,6 +255,8 @@ Status CloudCachedServer::Start() {
     Status restored = Status::OK();
     Result<persist::SnapshotReader> reader =
         persist::SnapshotReader::FromFile(options_.snapshot_path);
+    const bool missing =
+        !reader.ok() && reader.status().code() == StatusCode::kNotFound;
     if (!reader.ok()) {
       restored = reader.status();
     } else {
@@ -262,9 +264,13 @@ Status CloudCachedServer::Start() {
     }
     if (!restored.ok()) {
       if (hard) return restored;
-      std::fprintf(stderr,
-                   "cloudcached: snapshot unusable (%s); starting fresh\n",
-                   restored.ToString().c_str());
+      if (missing) {
+        std::fprintf(stderr, "cloudcached: no snapshot at %s; starting fresh\n",
+                     options_.snapshot_path.c_str());
+      } else {
+        persist::SetAsideRefusedSnapshot(
+            "cloudcached", options_.snapshot_path, restored);
+      }
       // A partial restore may have touched the graph; rebuild from
       // scratch, exactly like RunExperimentChecked's kAuto fallback.
       CLOUDCACHE_RETURN_IF_ERROR(BuildEconomy());

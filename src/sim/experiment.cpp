@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/persist/snapshot.h"
 #include "src/sim/node_parallel.h"
 #include "src/sim/sweep.h"
 #include "src/structure/index_advisor.h"
@@ -308,6 +309,11 @@ Result<SimMetrics> RunExperimentChecked(
       persist::SnapshotReader::FromFile(cp.path);
   if (!reader.ok()) {
     if (hard) return reader.status();
+    // No snapshot yet is the normal first start; anything else is a
+    // refusal the operator must see before the fresh run overwrites it.
+    if (reader.status().code() != StatusCode::kNotFound) {
+      persist::SetAsideRefusedSnapshot("restore", cp.path, reader.status());
+    }
     return RunExperimentImpl(catalog, templates, config, nullptr);
   }
   Result<SimMetrics> resumed =
@@ -320,6 +326,7 @@ Result<SimMetrics> RunExperimentChecked(
   if (resumed.status().code() == StatusCode::kResourceExhausted) {
     return resumed.status();
   }
+  persist::SetAsideRefusedSnapshot("restore", cp.path, resumed.status());
   return RunExperimentImpl(catalog, templates, config, nullptr);
 }
 

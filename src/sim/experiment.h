@@ -156,8 +156,10 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config);
 /// as a kResourceExhausted Status), and restore-at-startup. With
 /// Restore::kAuto a missing, corrupt, or mismatched snapshot degrades to
 /// a fresh run (the object graph is rebuilt from scratch first, so a
-/// partial restore never leaks into the fresh run); Restore::kHard fails
-/// loudly instead. With checkpointing off this is RunExperiment, bit for
+/// partial restore never leaks into the fresh run); a snapshot that exists
+/// but is refused is first reported on stderr and kept as
+/// `<path>.refused` (persist::SetAsideRefusedSnapshot). Restore::kHard
+/// fails loudly instead. With checkpointing off this is RunExperiment, bit for
 /// bit.
 Result<SimMetrics> RunExperimentChecked(
     const Catalog& catalog, const std::vector<QueryTemplate>& templates,

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -260,6 +263,45 @@ TEST_F(CrashRecoveryTest, HardRestoreRejectsMismatchedConfiguration) {
       RunExperiment(*catalog_, *templates_, plain_config);
   ExpectBitIdenticalMetrics(plain, *fresh);
   ExpectBitIdenticalTenants(plain, *fresh);
+}
+
+/// The whole file at `path` ("" if it cannot be read).
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(CrashRecoveryTest, AutoRestoreKeepsARefusedSnapshot) {
+  // A snapshot the run refuses (here: another configuration's) is set
+  // aside as <path>.refused, byte for byte, so the fresh run cannot
+  // overwrite it; a missing snapshot leaves nothing behind.
+  ExperimentConfig config = BaseConfig(SchemeKind::kEconCheap, 600);
+  config.sim.checkpoint.every = 200;
+  config.sim.checkpoint.path = SnapPath("refused");
+  std::remove((config.sim.checkpoint.path + ".refused").c_str());
+  ASSERT_TRUE(RunExperimentChecked(*catalog_, *templates_, config).ok());
+  const std::string saved = ReadAll(config.sim.checkpoint.path);
+  ASSERT_FALSE(saved.empty());
+
+  ExperimentConfig other = config;
+  other.tenancy.tenants = 2;
+  other.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  Result<SimMetrics> fresh =
+      RunExperimentChecked(*catalog_, *templates_, other);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(ReadAll(config.sim.checkpoint.path + ".refused"), saved);
+  // The fresh run checkpointed its own state in the original's place.
+  const std::string rewritten = ReadAll(config.sim.checkpoint.path);
+  EXPECT_FALSE(rewritten.empty());
+  EXPECT_NE(rewritten, saved);
+
+  ExperimentConfig missing = BaseConfig(SchemeKind::kEconCheap, 300);
+  missing.sim.checkpoint.path = SnapPath("absent");
+  std::remove(missing.sim.checkpoint.path.c_str());
+  missing.sim.checkpoint.restore = CheckpointOptions::Restore::kAuto;
+  ASSERT_TRUE(RunExperimentChecked(*catalog_, *templates_, missing).ok());
+  std::ifstream kept(missing.sim.checkpoint.path + ".refused");
+  EXPECT_FALSE(kept.good());
 }
 
 }  // namespace
