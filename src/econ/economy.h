@@ -218,6 +218,7 @@ class EconomyEngine {
   const CloudAccount& account() const { return account_; }
   CloudAccount& mutable_account() { return account_; }
   const RegretLedger& regret() const { return regret_; }
+  const MaintenanceLedger& maintenance() const { return maintenance_; }
   const Amortizer& amortizer() const { return amortizer_; }
   const EconomyOptions& options() const { return options_; }
   const PlanEnumerator& enumerator() const { return enumerator_; }

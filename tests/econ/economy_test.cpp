@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "src/persist/codec.h"
+#include "src/util/rng.h"
 #include "tests/testing/fixtures.h"
 
 namespace cloudcache {
@@ -307,6 +313,159 @@ TEST_F(EconomyTest, MaintenanceFailureEvictsIdleStructure) {
   // cost by a wide margin.
   engine->OnTick(6 * kMonth);
   EXPECT_FALSE(engine->cache().ColumnResident(date));
+}
+
+/// EvictFailedStructures' exact predicate judged for every resident, in
+/// ascending id order: the scan the failure deadlines replace. (Judging
+/// all residents up front equals judging them one by one while evicting:
+/// an eviction can only move a zero-cost index's fallback threshold, and
+/// every index build records its cost.)
+std::vector<StructureId> BruteForceFailures(const EconomyEngine& engine,
+                                            SimTime now) {
+  const MaintenanceLedger& ledger = engine.maintenance();
+  const EconomyOptions& options = engine.options();
+  std::vector<StructureId> failed;
+  for (StructureId id : engine.cache().Residents()) {
+    if (!ledger.IsTracked(id)) continue;
+    const Money owed = ledger.Owed(id, now);
+    if (owed.IsZero()) continue;
+    Money build_cost = ledger.BuildCostOf(id);
+    if (build_cost.IsZero()) {
+      build_cost = engine.decision_model().BuildCost(
+          engine.cache().registry().key(id),
+          engine.cache().column_residency());
+    }
+    Money threshold = build_cost * options.maintenance_failure_fraction;
+    if (options.tenant_weighted_eviction) {
+      const double scale = ledger.FailureScale(id);
+      if (scale != 1.0) threshold = threshold * scale;
+    }
+    if (owed > threshold) failed.push_back(id);
+  }
+  return failed;
+}
+
+TEST_F(EconomyTest, DeadlineScanMatchesBruteForceEveryResidentScan) {
+  // Random arrival gaps (seconds to a quarter year), ticks between
+  // queries, cheap and generous budgets: before every call the brute-force
+  // scan predicts which residents fail, and the engine must evict exactly
+  // those, in that order (tick evictions surface in the next outcome).
+  size_t failures = 0;
+  for (int variant = 0; variant < 4; ++variant) {
+    EconomyOptions options = InvestingOptions();
+    options.maintenance_failure_fraction = variant % 2 == 0 ? 0.01 : 0.25;
+    options.tenant_weighted_eviction = variant >= 2;
+    auto engine = MakeEngine(options);
+    if (options.tenant_weighted_eviction) engine->SetTenantCount(3);
+    Rng rng(100 + variant);
+    SimTime now = 0;
+    std::vector<StructureId> expected;
+    for (int i = 0; i < 400; ++i) {
+      now += std::exp(rng.NextUniform(0.0, std::log(kMonth / 4)));
+      const std::vector<StructureId> predicted =
+          BruteForceFailures(*engine, now);
+      failures += predicted.size();
+      expected.insert(expected.end(), predicted.begin(), predicted.end());
+      if (rng.NextBernoulli(0.3)) {
+        engine->OnTick(now);
+        for (StructureId id : predicted) {
+          EXPECT_FALSE(engine->cache().IsResident(id)) << "tick " << i;
+        }
+        continue;
+      }
+      Query q = testing::MakeTinyQuery(catalog_, rng.NextUniform(0.01, 0.3),
+                                       static_cast<uint64_t>(i));
+      if (options.tenant_weighted_eviction) q.tenant_id = i % 3;
+      const StepBudget cheap(Money::FromMicros(1), 1e6);
+      const StepBudget generous(Money::FromDollars(1000), 1e6);
+      const QueryOutcome outcome = engine->OnQuery(
+          q, rng.NextBernoulli(0.5) ? cheap : generous, now);
+      EXPECT_EQ(outcome.evictions, expected) << "query " << i;
+      expected.clear();
+    }
+  }
+  EXPECT_GT(failures, 20u);  // The predicate was exercised, not skipped.
+}
+
+TEST_F(EconomyTest, PendingBuildFailsOnTheQueryThatActivatesIt) {
+  // A build still in flight at the last query lands during a long idle
+  // gap; the next query activates it and, in the same call, finds its
+  // rent backlog past the failure threshold.
+  EconomyOptions options = InvestingOptions();
+  options.model_build_latency = true;
+  options.maintenance_failure_fraction = 0.01;
+  auto engine = MakeEngine(options);
+  StepBudget budget(Money::FromMicros(1), 1e6);
+  std::vector<StructureId> investments;
+  double t = 0;
+  for (int i = 0; i < 50 && investments.empty(); ++i, t += 1.0) {
+    investments = engine->OnQuery(HeavyQuery(i), budget, t).investments;
+  }
+  ASSERT_FALSE(investments.empty());
+  const StructureId built = investments.front();
+  ASSERT_FALSE(engine->cache().IsResident(built));
+  ASSERT_TRUE(engine->maintenance().IsTracked(built));
+
+  const QueryOutcome late =
+      engine->OnQuery(HeavyQuery(99), budget, t + 6 * kMonth);
+  EXPECT_NE(std::find(late.evictions.begin(), late.evictions.end(), built),
+            late.evictions.end());
+  EXPECT_FALSE(engine->cache().IsResident(built));
+}
+
+TEST_F(EconomyTest, RestoredDeadlineFailsOnTheSameQuery) {
+  // An idle column fails at some query k of an uninterrupted run. Saved
+  // one query short of that — its deadline not yet reached — and restored
+  // into a fresh engine, the run must fail it at query k all the same and
+  // continue bit for bit.
+  EconomyOptions options = DefaultOptions();
+  options.maintenance_failure_fraction = 0.25;
+  const StructureKey idle =
+      ColumnKey(catalog_, *catalog_.FindColumn("fact.f_flag"));
+  const StructureId idle_id = registry_.Intern(idle);
+  const double step = kMonth / 100;
+  const StepBudget budget(Money::FromDollars(1000), 1e6);
+  auto query = [&](int i) {
+    return testing::MakeTinyQuery(catalog_, 0.01, static_cast<uint64_t>(i));
+  };
+  constexpr int kQueries = 200;
+
+  auto straight = MakeEngine(options);
+  ASSERT_TRUE(straight->ForceBuild(idle, 0.0).ok());
+  std::vector<QueryOutcome> outcomes;
+  int k = 0;
+  for (int i = 1; i <= kQueries; ++i) {
+    outcomes.push_back(straight->OnQuery(query(i), budget, i * step));
+    const std::vector<StructureId>& evicted = outcomes.back().evictions;
+    if (k == 0 &&
+        std::find(evicted.begin(), evicted.end(), idle_id) != evicted.end()) {
+      k = i;
+    }
+  }
+  ASSERT_GT(k, 1);
+
+  auto first = MakeEngine(options);
+  ASSERT_TRUE(first->ForceBuild(idle, 0.0).ok());
+  for (int i = 1; i < k; ++i) first->OnQuery(query(i), budget, i * step);
+  persist::Encoder saved;
+  first->SaveState(&saved);
+  auto resumed = MakeEngine(options);
+  persist::Decoder decoder(saved.buffer().data(), saved.buffer().size());
+  ASSERT_TRUE(resumed->RestoreState(&decoder).ok());
+  EXPECT_GT(resumed->maintenance().NextDue(), (k - 1) * step);
+  EXPECT_LE(resumed->maintenance().NextDue(), k * step);
+
+  for (int i = k; i <= kQueries; ++i) {
+    const QueryOutcome outcome = resumed->OnQuery(query(i), budget, i * step);
+    EXPECT_EQ(outcome.evictions, outcomes[i - 1].evictions) << "query " << i;
+    EXPECT_EQ(outcome.investments, outcomes[i - 1].investments);
+    EXPECT_EQ(outcome.payment, outcomes[i - 1].payment);
+  }
+  persist::Encoder end_straight;
+  persist::Encoder end_resumed;
+  straight->SaveState(&end_straight);
+  resumed->SaveState(&end_resumed);
+  EXPECT_EQ(end_straight.buffer(), end_resumed.buffer());
 }
 
 TEST_F(EconomyTest, UsedStructuresSurviveMaintenance) {
