@@ -14,13 +14,8 @@ void MaintenanceLedger::Register(StructureId id, const StructureKey& key,
                                  double failure_scale) {
   CLOUDCACHE_CHECK(!IsTracked(id));
   CLOUDCACHE_CHECK_GE(failure_scale, 1.0);
-  Clock clock;
-  clock.key = key;
-  clock.paid_until = now;
-  clock.build_cost = build_cost;
-  clock.failure_scale = failure_scale;
-  clock.bytes = StructureBytes(model_->catalog(), key);
-  Track(id, std::move(clock));
+  Track(id, Clock{key, now, build_cost, failure_scale,
+                  StructureBytes(model_->catalog(), key)});
 }
 
 void MaintenanceLedger::Track(StructureId id, Clock clock) {

@@ -159,7 +159,9 @@ Result<Decoder> SnapshotReader::Section(const std::string& name) const {
 void SetAsideRefusedSnapshot(const char* who, const std::string& path,
                              const Status& why) {
   const std::string kept = path + ".refused";
-  if (std::rename(path.c_str(), kept.c_str()) == 0) {
+  const int renamed = std::rename(path.c_str(), kept.c_str());
+  const int error = errno;
+  if (renamed == 0) {
     std::fprintf(stderr,
                  "%s: snapshot %s refused (%s); starting fresh, the refused "
                  "snapshot is kept as %s\n",
@@ -169,7 +171,7 @@ void SetAsideRefusedSnapshot(const char* who, const std::string& path,
                  "%s: snapshot %s refused (%s); starting fresh, and it "
                  "could not be renamed to %s: %s\n",
                  who, path.c_str(), why.ToString().c_str(), kept.c_str(),
-                 std::strerror(errno));
+                 std::strerror(error));
   }
 }
 

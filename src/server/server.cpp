@@ -265,7 +265,8 @@ Status CloudCachedServer::Start() {
     if (!restored.ok()) {
       if (hard) return restored;
       if (missing) {
-        std::fprintf(stderr, "cloudcached: no snapshot at %s; starting fresh\n",
+        std::fprintf(stderr,
+                     "cloudcached: no snapshot at %s; starting fresh\n",
                      options_.snapshot_path.c_str());
       } else {
         persist::SetAsideRefusedSnapshot(

@@ -159,8 +159,8 @@ uint64_t HashExperimentConfig(const ExperimentConfig& config);
 /// partial restore never leaks into the fresh run); a snapshot that exists
 /// but is refused is first reported on stderr and kept as
 /// `<path>.refused` (persist::SetAsideRefusedSnapshot). Restore::kHard
-/// fails loudly instead. With checkpointing off this is RunExperiment, bit for
-/// bit.
+/// fails loudly instead. With checkpointing off this is RunExperiment,
+/// bit for bit.
 Result<SimMetrics> RunExperimentChecked(
     const Catalog& catalog, const std::vector<QueryTemplate>& templates,
     const ExperimentConfig& config);
