@@ -142,8 +142,7 @@ class DeadlineHarness {
  public:
   DeadlineHarness(const Catalog* catalog, const CostModel* model,
                   MaintenanceLedger::FailureRule rule, uint64_t seed)
-      : catalog_(catalog),
-        model_(model),
+      : model_(model),
         rule_(rule),
         ledger_(model, rule),
         rng_(seed),
@@ -183,8 +182,6 @@ class DeadlineHarness {
     }
     return failures;
   }
-
-  const MaintenanceLedger& ledger() const { return ledger_; }
 
  private:
   void RegisterRandom() {
@@ -254,7 +251,6 @@ class DeadlineHarness {
     return brute.size();
   }
 
-  const Catalog* catalog_;
   const CostModel* model_;
   MaintenanceLedger::FailureRule rule_;
   MaintenanceLedger ledger_;

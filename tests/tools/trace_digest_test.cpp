@@ -51,32 +51,30 @@ std::string TraceOf(const std::vector<const char*>& args) {
   return out.str();
 }
 
-struct TracePin {
-  std::vector<const char*> args;
-  uint64_t digest;
-  size_t bytes;
-};
+/// Runs `args` and checks the trace against its pinned size and digest.
+void ExpectTracePin(const std::vector<const char*>& args, uint64_t digest,
+                    size_t bytes) {
+  const std::string trace = TraceOf(args);
+  EXPECT_NE(trace.find("\"reason\":\"maintenance\""), std::string::npos);
+  EXPECT_EQ(trace.size(), bytes);
+  EXPECT_EQ(Fnv1a64(trace), digest)
+      << "digest 0x" << std::hex << Fnv1a64(trace);
+}
 
-TEST(TraceDigestTest, EvictionHeavyRunsTraceTheSameBytes) {
-  const TracePin pins[] = {
-      {{"--queries=20000", "--scheme=econ-cheap", "--seed=17"},
-       0xcf6029798f2dc778ull,
-       10404},
-      {{"--queries=20000", "--tenants=4", "--fair-eviction", "--admission"},
-       0xaf2fc042f71d4db2ull,
-       10353},
-      {{"--queries=20000", "--build-latency"}, 0xc0eb4c0c7a2bf6fbull, 20138},
-  };
-  for (const TracePin& pin : pins) {
-    std::string label;
-    for (const char* arg : pin.args) label += std::string(arg) + " ";
-    const std::string trace = TraceOf(pin.args);
-    EXPECT_NE(trace.find("\"reason\":\"maintenance\""), std::string::npos)
-        << label;
-    EXPECT_EQ(trace.size(), pin.bytes) << label;
-    EXPECT_EQ(Fnv1a64(trace), pin.digest)
-        << label << "digest 0x" << std::hex << Fnv1a64(trace);
-  }
+TEST(TraceDigestTest, EconCheapSeed17) {
+  ExpectTracePin({"--queries=20000", "--scheme=econ-cheap", "--seed=17"},
+                 0xcf6029798f2dc778ull, 10404);
+}
+
+TEST(TraceDigestTest, FourTenantsWithFairEvictionAndAdmission) {
+  ExpectTracePin(
+      {"--queries=20000", "--tenants=4", "--fair-eviction", "--admission"},
+      0xaf2fc042f71d4db2ull, 10353);
+}
+
+TEST(TraceDigestTest, BuildLatency) {
+  ExpectTracePin({"--queries=20000", "--build-latency"},
+                 0xc0eb4c0c7a2bf6fbull, 20138);
 }
 
 }  // namespace
